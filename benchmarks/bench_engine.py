@@ -7,9 +7,7 @@ absolute runtime differences in Tab. I/II are interpretable.
 The ``preprocess`` and ``upec-sat`` groups pair each instance family with
 a raw-CNF and a simplified run, so the payoff of the SatELite-style
 pre-/inprocessor (``repro.formal.preprocess``) is measured directly on
-the clause shapes the engine actually emits.  The ``split`` group pairs
-split and unsplit deep-frame checks at 1/2/4 workers — the wall-clock
-case for intra-frame obligation splitting (``--split``).
+the clause shapes the engine actually emits.
 
 Run with ``--bench-json`` to also write the per-group numbers to
 ``BENCH_engine.json`` (see ``conftest.py``).
@@ -202,7 +200,6 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
     """The flagship workload: the full Fig.-5 methodology on the secure
     design (Tab. I, D in cache) with and without CNF simplification."""
     from repro.core import UpecMethodology, UpecScenario
-    from repro.engine import INLINE
     from repro.soc.config import FORMAL_CONFIG_KWARGS
 
     soc = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
@@ -210,7 +207,7 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
     def run():
         result = UpecMethodology(
             soc, UpecScenario(secret_in_cache=True), simplify=simplify,
-            engine=INLINE,
+            engine=None,
         ).run(k=2)
         assert result.verdict == "secure_bounded"
 
@@ -299,62 +296,6 @@ def test_frame_obligations_through_engine(benchmark, proof_engine):
         assert result.status == "alert"
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-# ----------------------------------------------------------------------
-# Intra-frame obligation splitting: deep-frame wall-clock
-# ----------------------------------------------------------------------
-@pytest.mark.benchmark(group="split")
-@pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_deep_frame_split_wall_clock(benchmark, jobs, split):
-    """The workload intra-frame splitting targets: the deepest frame of
-    a refined (post-Fig.-5) commitment on the secure design, which is
-    UNSAT — every register group must be *proved*, so an unsplit run is
-    one monolithic solve while a split run keeps ``jobs`` workers busy
-    on the per-register-group obligations of that single frame.  The
-    jobs=1 rows measure the splitting overhead itself; the jobs=2/4
-    split-vs-unsplit pairs are the wall-clock win (multi-core hosts
-    only — undersized machines skip them, see ``UPEC_BENCH_JOBS``)."""
-    from conftest import bench_jobs_ceiling, full_runs
-
-    from repro.core import (
-        UpecChecker,
-        UpecMethodology,
-        UpecModel,
-        UpecScenario,
-    )
-    from repro.engine import INLINE, ProofEngine
-    from repro.soc.config import FORMAL_CONFIG_KWARGS
-
-    if jobs > 1 and jobs > bench_jobs_ceiling():
-        pytest.skip(f"host has fewer than {jobs} usable cores")
-    k = 3 if full_runs() else 2
-    soc = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
-    scenario = UpecScenario(secret_in_cache=True)
-    refined = UpecMethodology(soc, scenario, engine=INLINE).run(k=k)
-    assert refined.verdict == "secure_bounded"
-    removed = set(refined.removed_regs)
-    model = UpecModel(soc, scenario)
-    commitment = [reg for reg in model.default_commitment()
-                  if reg.name not in removed]
-    engine = ProofEngine(jobs=jobs)
-
-    def run():
-        result = UpecChecker(model, engine=engine, split=split).check(
-            k=k, commitment=commitment, start_frame=k,
-        )
-        assert result.proved
-        return result
-
-    try:
-        result = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        engine.close()
-    benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["split"] = split
-    benchmark.extra_info["obligations"] = \
-        result.stats.get("split_obligations", 0) or 1
 
 
 # ----------------------------------------------------------------------

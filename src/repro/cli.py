@@ -18,28 +18,28 @@ uniformly accept:
 ``--no-preprocess``   disable the SatELite-style CNF pre-/inprocessor
 ``--no-slice``        export whole-context proof obligations instead of
                       cone-of-influence slices
-``--split``           split each frame's commitment check into
-                      per-register(-group) proof obligations so deep
-                      frames saturate the worker pool
-                      (``--no-split`` overrides ``REPRO_ENGINE_SPLIT``)
 ``--stats``           print solver / simplifier / engine counters
                       (including slice reduction ratios)
 ``--json``            machine-readable result on stdout
 ``--jobs N``          solve proof obligations on N worker processes
 ``--cache-dir DIR``   persistent proof cache (re-runs skip proved
-                      obligations)
+                      obligations; default: ``$REPRO_ENGINE_CACHE``)
 ``--conflict-limit``  per-query conflict budget
 ``--wall-budget S``   per-obligation wall-clock budget in seconds
                       (exhaustion yields a distinguishable "timeout"
                       outcome instead of an open-ended solve)
 ``--connect H:P``     shard proof obligations over a running broker
                       (``repro serve``) and its workers instead of a
-                      local pool
+                      local pool (default: ``$REPRO_ENGINE_CONNECT``)
+
+Without ``--jobs``, ``--cache-dir`` or ``--connect`` the frames are
+solved on the incremental in-context solver; any of the three routes
+them through the obligation engine.
 
 ``attack`` takes ``--stats`` (timing-series counters) and ``--json``
 as well; it has no SAT solver, so the solver flags do not apply.
 
-Usage errors exit with code 64: ``--jobs 0`` or negative anywhere, a
+Usage errors exit with code 64: ``--jobs`` or ``--k`` below 1, a
 malformed broker address, and ``--connect`` combined with ``--jobs`` on
 ``check``/``methodology`` (on ``sweep`` the two compose — ``--jobs``
 fans cells out locally while each cell's obligations shard over the
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -63,6 +64,10 @@ from repro.soc.config import (
     SIM_CONFIG_KWARGS,
     VARIANTS,
 )
+
+#: Environment knob: the default ``--cache-dir`` of the solver-backed
+#: commands (a deployment setting, like ``REPRO_ENGINE_CONNECT``).
+CACHE_ENV = "REPRO_ENGINE_CACHE"
 
 
 def _build(variant: str, geometry: str):
@@ -93,16 +98,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-slice", action="store_true",
                         help="export whole-context proof obligations "
                              "instead of cone-of-influence slices")
-    split_group = parser.add_mutually_exclusive_group()
-    split_group.add_argument("--split", dest="split", action="store_true",
-                             default=None,
-                             help="split each frame's commitment check "
-                                  "into per-register(-group) obligations "
-                                  "(default: $REPRO_ENGINE_SPLIT, off)")
-    split_group.add_argument("--no-split", dest="split",
-                             action="store_false",
-                             help="force unsplit frame obligations even "
-                                  "when REPRO_ENGINE_SPLIT=1")
     parser.add_argument("--conflict-limit", type=int, default=None)
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
@@ -111,9 +106,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                              "of solving open-endedly")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for proof obligations "
-                             "(default: $REPRO_ENGINE_JOBS or in-process)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent proof-result cache directory")
+                             "(default: the in-context solver)")
+    parser.add_argument("--cache-dir",
+                        default=os.environ.get(CACHE_ENV) or None,
+                        help="persistent proof-result cache directory "
+                             "(default: $REPRO_ENGINE_CACHE)")
     parser.add_argument("--connect", default=None, metavar="HOST:PORT",
                         help="shard proof obligations over a distributed "
                              "proof-service broker (see 'repro serve'; "
@@ -127,6 +124,14 @@ def _validate_jobs(jobs) -> None:
     pool (or to ``multiprocessing`` with a clamped count)."""
     if jobs is not None and jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {jobs}")
+
+
+def _validate_k(k: int) -> None:
+    """A window needs at least one frame.  ``--k 0`` must not surface as
+    an uncaught ``UpecError``: that exits 1, which ``check`` reserves
+    for a P-alert."""
+    if k < 1:
+        raise UsageError(f"--k must be a positive integer, got {k}")
 
 
 def _validate_address(spec: str) -> None:
@@ -150,42 +155,26 @@ def _connect_from_args(args) -> str:
 
 
 def _engine_from_args(args):
-    """An explicit engine when --connect/--jobs/--cache-dir ask for one,
-    else None (the library then falls back to the environment
-    defaults)."""
+    """An engine when --connect/--jobs/--cache-dir ask for one, else
+    None (the incremental in-context solver)."""
     _validate_jobs(args.jobs)
     if args.connect and args.jobs is not None:
         raise UsageError("--jobs does not combine with --connect: the "
                          "broker's worker fleet sets the parallelism")
     # An explicit --jobs wins over the REPRO_ENGINE_CONNECT environment
-    # default (flags beat environment, as with the other engine knobs;
-    # --jobs plus explicit --connect already errored above).
+    # default (flags beat environment defaults; --jobs plus explicit
+    # --connect already errored above).
     connect = None if args.jobs is not None else _connect_from_args(args)
     if connect is not None:
         _validate_address(connect)
         from repro.dist.remote import RemoteEngine
 
         return RemoteEngine(connect, cache_dir=args.cache_dir)
-    # A bare --split still needs the obligation path (the incremental
-    # in-context solver has nothing to split), so it forces an engine at
-    # the environment-default jobs setting.
-    if args.jobs is None and args.cache_dir is None and not args.split:
+    if args.jobs is None and args.cache_dir is None:
         return None
     from repro.engine import ProofEngine
 
-    return ProofEngine(jobs=args.jobs, cache_dir=args.cache_dir)
-
-
-def _slice_from_args(args):
-    """False for --no-slice, else None (the REPRO_ENGINE_SLICE default,
-    which is on)."""
-    return False if args.no_slice else None
-
-
-def _split_from_args(args):
-    """True for --split, False for --no-split, else None (the
-    REPRO_ENGINE_SPLIT default, which is off)."""
-    return args.split
+    return ProofEngine(jobs=args.jobs or 1, cache_dir=args.cache_dir)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -213,13 +202,13 @@ def cmd_info(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _validate_k(args.k)
+    engine = _engine_from_args(args)
     soc = _build(args.variant, "formal")
     scenario = UpecScenario(secret_in_cache=not args.uncached)
     model = UpecModel(soc, scenario, simplify=not args.no_preprocess)
-    engine = _engine_from_args(args)
     result = UpecChecker(model, engine=engine,
-                         slice=_slice_from_args(args),
-                         split=_split_from_args(args)).check(
+                         slice=not args.no_slice).check(
         k=args.k, conflict_limit=args.conflict_limit,
         wall_budget=args.wall_budget,
     )
@@ -235,15 +224,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_methodology(args) -> int:
+    _validate_k(args.k)
+    engine = _engine_from_args(args)
     soc = _build(args.variant, "formal")
     scenario = UpecScenario(secret_in_cache=not args.uncached)
     result = UpecMethodology(
         soc, scenario,
         conflict_limit=args.conflict_limit,
         simplify=not args.no_preprocess,
-        engine=_engine_from_args(args),
-        slice=_slice_from_args(args),
-        split=_split_from_args(args),
+        engine=engine,
+        slice=not args.no_slice,
         wall_budget=args.wall_budget,
     ).run(k=args.k)
     human = result.describe()
@@ -254,12 +244,10 @@ def cmd_methodology(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import os
-
-    from repro.engine import CACHE_ENV, ScenarioSweep
-    from repro.engine.pool import env_jobs
+    from repro.engine import ScenarioSweep
 
     _validate_jobs(args.jobs)
+    _validate_k(args.k)
     connect = _connect_from_args(args)
     if connect is not None:
         # Unlike check/methodology, --jobs composes with --connect here:
@@ -272,10 +260,6 @@ def cmd_sweep(args) -> int:
             print(f"unknown variant {variant!r} (choose from "
                   f"{', '.join(VARIANTS)})", file=sys.stderr)
             return 64
-    # The sweep parallelizes over cells rather than frames, but the same
-    # environment defaults apply when the flags are absent.
-    jobs = args.jobs if args.jobs is not None else env_jobs()
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV) or None
     sweep = ScenarioSweep.table1_grid(
         variants=variants,
         k=args.k,
@@ -283,13 +267,12 @@ def cmd_sweep(args) -> int:
         uncached=args.scenarios in ("uncached", "both"),
         simplify=not args.no_preprocess,
         conflict_limit=args.conflict_limit,
-        cache_dir=cache_dir,
-        slice=_slice_from_args(args),
+        cache_dir=args.cache_dir,
+        slice=not args.no_slice,
         connect=connect,
-        split=_split_from_args(args),
         wall_budget=args.wall_budget,
     )
-    result = sweep.run(jobs=jobs)
+    result = sweep.run(jobs=args.jobs or 1)
     human = format_table(
         ["cell", "verdict", "iterations", "P-alerts", "runtime"],
         result.rows(),

@@ -106,20 +106,13 @@ class InductiveDiffProof:
         invariant: Sequence[CondEq],
         simplify: bool = True,
         engine=None,
-        slice: Optional[bool] = None,
-        split: Optional[bool] = None,
+        slice: bool = True,
     ) -> None:
         self.soc = soc
         self.scenario = scenario
         self.simplify = simplify
         self.slice = slice
-        # Accepted for uniformity with the UPEC stack; a no-op here — the
-        # step case already is one obligation per register, the exact
-        # shape REPRO_ENGINE_SPLIT asks for.
-        self.split = split
-        from repro.engine.pool import resolve_engine
-
-        self.engine = resolve_engine(engine)
+        self.engine = engine
         self.invariant = list(invariant)
         domain = {entry.reg for entry in self.invariant}
         for entry in self.invariant:

@@ -85,11 +85,11 @@ class MethodologyResult:
 class UpecMethodology:
     """Run the iterative UPEC flow on one SoC and scenario.
 
-    ``engine`` (or the ``jobs``/``cache_dir`` shorthands, or the
-    ``REPRO_ENGINE_JOBS``/``REPRO_ENGINE_CACHE`` environment defaults)
-    routes every property check through the obligation scheduler of
+    ``engine`` (or the ``jobs``/``cache_dir`` shorthands) routes every
+    property check through the obligation scheduler of
     :mod:`repro.engine`: frames solve on a worker pool and verdicts are
-    re-used from the persistent proof cache across runs.
+    re-used from the persistent proof cache across runs.  Without one,
+    the checks run on the model's incremental in-context solver.
     """
 
     def __init__(
@@ -101,8 +101,7 @@ class UpecMethodology:
         engine=None,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        slice: Optional[bool] = None,
-        split: Optional[bool] = None,
+        slice: bool = True,
         wall_budget: Optional[float] = None,
     ) -> None:
         self.soc = soc
@@ -114,18 +113,16 @@ class UpecMethodology:
         self.wall_budget = wall_budget
         self.simplify = simplify
         self.slice = slice
-        self.split = split
-        from repro.engine.pool import ProofEngine, resolve_engine
-
         if engine is None and (jobs is not None or cache_dir is not None):
-            engine = ProofEngine(jobs=jobs, cache_dir=cache_dir)
-        self.engine = resolve_engine(engine)
+            from repro.engine.pool import ProofEngine
+
+            engine = ProofEngine(jobs=jobs or 1, cache_dir=cache_dir)
+        self.engine = engine
 
     def _stats(self, model: UpecModel) -> Dict[str, int]:
         stats = dict(model.stats())
         if self.engine is not None:
-            # Relative to the run's start, so a shared engine (the
-            # environment-default singleton, a sweep's engine) reports
+            # Relative to the run's start, so a shared engine reports
             # this run's work rather than its lifetime totals.
             stats.update(self.engine.stats(since=self._engine_since))
         return stats
@@ -135,15 +132,7 @@ class UpecMethodology:
         self._engine_since = self.engine.stats() if self.engine is not None \
             else None
         model = UpecModel(self.soc, self.scenario, simplify=self.simplify)
-        # Pass the resolved engine down verbatim: a methodology that
-        # resolved to the legacy path must not let the checker re-consult
-        # the environment defaults.
-        from repro.engine.pool import INLINE
-
-        checker = UpecChecker(
-            model, engine=self.engine if self.engine is not None else INLINE,
-            slice=self.slice, split=self.split,
-        )
+        checker = UpecChecker(model, engine=self.engine, slice=self.slice)
         commitment: List[Reg] = model.default_commitment()
         p_alerts: List[Alert] = []
         removed: List[str] = []

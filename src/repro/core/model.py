@@ -231,7 +231,7 @@ class UpecModel:
         regs: Sequence[Reg],
         frame: int,
         conflict_limit: Optional[int] = None,
-        slice: Optional[bool] = None,
+        slice: bool = True,
         wall_budget: Optional[float] = None,
     ):
         """Export the frame's commitment check as a self-contained
@@ -266,103 +266,6 @@ class UpecModel:
             slice=slice,
             frame=frame,
         )
-
-    def frame_split_obligations(
-        self,
-        regs: Sequence[Reg],
-        frame: int,
-        conflict_limit: Optional[int] = None,
-        slice: Optional[bool] = None,
-        wall_budget: Optional[float] = None,
-    ):
-        """Export the frame's commitment check as independent
-        per-register(-group) obligations (see :mod:`repro.engine.split`).
-
-        Returns a :class:`~repro.engine.split.FrameSplit` — the frame is
-        UNSAT iff every obligation in it is UNSAT — or None when
-        structural hashing already folded every pair to equality.
-
-        The canonical *unsplit* obligation is exported first, which (a)
-        emits the full commitment-OR cone into the shared CNF exactly as
-        an unsplit run would, so the ``split=`` setting never perturbs
-        any other obligation's canonical slice or cache fingerprint, and
-        (b) rides along on the result so an alerting frame's model and
-        witness come from the very obligation an unsplit run solves.
-        The split obligations themselves add no gates: each register
-        group's already-mapped diff literals become one appended
-        disjunctive root clause.  Registers whose definition cones
-        overlap near-identically share a group.
-        """
-        from repro.engine.split import FrameSplit, cone_vars, group_cones
-
-        full = self.frame_obligation(regs, frame, conflict_limit,
-                                     slice=slice, wall_budget=wall_budget)
-        if full is None:
-            return None
-        context = self.context
-        target = self.commitment_diff_lit(regs, frame)
-        #: (diff literal, register names) in commitment order; distinct
-        #: registers that hash to the same diff literal share an entry so
-        #: no disjunct is duplicated.
-        members: List[Tuple[int, List[str]]] = []
-        by_lit: Dict[int, int] = {}
-        if target != 1:
-            for reg in regs:
-                lit = self.pair_diff_lit(reg, frame)
-                if lit == 0:
-                    continue
-                if lit in by_lit:
-                    members[by_lit[lit]][1].append(reg.name)
-                else:
-                    by_lit[lit] = len(members)
-                    members.append((lit, [reg.name]))
-        if target == 1 or len(members) < 2:
-            # Constant-true target, or a single distinct diff literal:
-            # splitting buys nothing — solve the unsplit obligation.
-            return FrameSplit(
-                obligations=[full],
-                groups=[[reg.name for reg in regs]],
-                full_obligation=full,
-                full=True,
-            )
-        log = context.solver
-        cones = [
-            cone_vars(abs(context.mapper.assumption(lit)),
-                      log.definitions, log.clauses)
-            for lit, _ in members
-        ]
-        groups = group_cones(cones)
-        obligations = []
-        group_names: List[List[str]] = []
-        for index, group in enumerate(groups):
-            names = [name for i in group for name in members[i][1]]
-            obligations.append(context.export_obligation(
-                name=f"upec[{self.soc.config.name}]@t{frame}#g{index}",
-                assumptions=[members[i][0] for i in group],
-                disjunction=True,
-                conflict_limit=conflict_limit,
-                wall_budget=wall_budget,
-                meta={
-                    "kind": "upec-frame-split",
-                    "design": self.soc.config.name,
-                    "scenario": self.scenario.describe(),
-                    "frame": frame,
-                    "commitment": [reg.name for reg in regs],
-                    "group": names,
-                    "group_index": index,
-                    "groups": len(groups),
-                },
-                slice=slice,
-                frame=frame,
-            ))
-            group_names.append(names)
-        context.bump_stat("split_frames")
-        context.bump_stat("split_registers", len(members))
-        context.bump_stat("split_obligations", len(obligations))
-        context.bump_stat("split_groups_fused",
-                          len(members) - len(obligations))
-        return FrameSplit(obligations=obligations, groups=group_names,
-                          full_obligation=full)
 
     # ------------------------------------------------------------------
     # Witness extraction

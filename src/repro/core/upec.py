@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import UpecError
 from repro.core.alerts import Alert, classify
@@ -86,70 +86,19 @@ class UpecChecker:
     model's in-process solver.  With an ``engine``
     (:class:`repro.engine.ProofEngine`) each frame becomes a
     self-contained proof obligation: frames are solved on the engine's
-    worker pool (all siblings in flight at once, cancelled as soon as an
-    earlier frame alerts) and verdicts may come from its persistent
-    cache.  Both modes report the lowest alerting frame, so verdicts are
-    identical; an unset engine falls back to the environment default
-    (``REPRO_ENGINE_JOBS`` / ``REPRO_ENGINE_CACHE``).
-
-    With ``split=True`` (or ``REPRO_ENGINE_SPLIT=1``) each frame's
-    commitment check is further split into independent per-register(-
-    group) obligations so the deepest frame alone can saturate a worker
-    pool or the distributed fleet (see :mod:`repro.engine.split`).  The
-    frame is UNSAT iff every group is; any SAT group reports the alert
-    through the frame's canonical *unsplit* obligation, so status, k,
-    alert register set and witness trace are bit-identical to an unsplit
-    run at any ``jobs`` setting (splitting requires an engine: the
-    engine-less incremental path ignores the knob, which is sound — it
-    solves the same unsplit query).
+    scheduler (a worker pool or the distributed fleet keeps all siblings
+    in flight at once, cancelled as soon as an earlier frame alerts) and
+    verdicts may come from its persistent cache.  Both modes report the
+    lowest alerting frame, so verdicts are identical.  ``slice=False``
+    exports whole-context obligations instead of cone-of-influence
+    slices (the slicing differentials' reference).
     """
 
     def __init__(self, model: UpecModel, engine=None,
-                 slice: Optional[bool] = None,
-                 split: Optional[bool] = None) -> None:
+                 slice: bool = True) -> None:
         self.model = model
+        self.engine = engine
         self.slice = slice
-        self.split = split
-        from repro.engine.pool import resolve_engine
-
-        self.engine = resolve_engine(engine)
-
-    def _slice_enabled(self) -> bool:
-        from repro.engine.slice import env_slice
-
-        return env_slice() if self.slice is None else bool(self.slice)
-
-    def _split_enabled(self) -> bool:
-        from repro.engine.split import env_split
-
-        return env_split() if self.split is None else bool(self.split)
-
-    def _frame_split(self, regs: Sequence[Reg], t: int,
-                     conflict_limit: Optional[int], split: bool,
-                     slice: Optional[bool] = None,
-                     wall_budget: Optional[float] = None):
-        """One frame's check as a FrameSplit (or None when structurally
-        proved) — a single-obligation degenerate split in unsplit mode,
-        so the engine paths walk one uniform shape."""
-        from repro.engine.split import FrameSplit
-
-        model = self.model
-        if split:
-            return model.frame_split_obligations(
-                regs, t, conflict_limit, slice=slice,
-                wall_budget=wall_budget,
-            )
-        obligation = model.frame_obligation(regs, t, conflict_limit,
-                                            slice=slice,
-                                            wall_budget=wall_budget)
-        if obligation is None:
-            return None
-        return FrameSplit(
-            obligations=[obligation],
-            groups=[[reg.name for reg in regs]],
-            full_obligation=obligation,
-            full=True,
-        )
 
     def check(
         self,
@@ -236,53 +185,44 @@ class UpecChecker:
     ) -> UpecCheckResult:
         """Obligation-based frame checks via the scheduler/cache engine.
 
-        With slicing (the default) an obligation's content is canonical
-        — it depends only on the commitment and the frame, not on how
-        far the shared CNF mapper happened to grow — so at ``jobs=1``
-        frames are exported *lazily*, one at a time, and an early alert
-        stops the walk before later frames are ever unrolled.  At
-        ``jobs>1`` the window's frames are exported up front so all
-        siblings can be in flight at once; both schedules produce
-        bit-identical obligation streams, hence bit-identical verdicts
-        and counterexample models.
+        Frames are exported in steps, and each step's obligations go
+        through the ordered scheduler.  When the engine solves
+        in-process on sliced obligations (``jobs == 1``), a step is one
+        frame: an alert at frame ``t`` means frames ``t+1..k`` are never
+        unrolled or exported.  Otherwise a step is the whole window, so
+        a pool or the fleet has every sibling in flight at once.
 
-        Without slicing, obligation content *does* depend on the shared
-        mapper's emission history, so every frame of the window is
-        exported eagerly at any jobs setting (the pre-slicing behaviour)
-        to keep jobs=1 and jobs=N obligation streams identical.
-
-        With splitting, each frame contributes its register-group
-        obligations to the flattened batch (frame-major, group-minor);
-        the ordered scheduler's early-stop then cancels both later
-        frames *and* a SAT group's in-frame siblings network-wide, and
-        first-non-UNSAT selection stays canonical at any jobs setting.
+        A sliced obligation's content depends only on the commitment and
+        the frame, so both schedules produce bit-identical obligation
+        streams, hence bit-identical verdicts and counterexample models.
+        An unsliced obligation's content depends on how far the shared
+        CNF mapper grew, which is why ``slice=False`` always exports the
+        whole window up front: the jobs=1 and jobs=N streams then stay
+        identical.
         """
         since = self.engine.stats()
-        split = self._split_enabled()
-        if self.engine.jobs == 1 and self._slice_enabled():
-            return self._check_engine_lazy(
-                k, regs, start_frame, conflict_limit, witness_signals,
-                start, since, split, wall_budget,
-            )
-        frames = list(range(start_frame, k + 1))
-        batches = [
-            self._frame_split(regs, t, conflict_limit, split,
-                              slice=self.slice, wall_budget=wall_budget)
-            for t in frames
-        ]
-        pending = [ob for fs in batches if fs is not None
-                   for ob in fs.obligations]
-        verdicts = iter(self.engine.solve_ordered(
-            pending, early_stop=lambda v: not v.unsat
-        ))
+        window = list(range(start_frame, k + 1))
+        lazy = self.engine.jobs == 1 and self.slice
+        steps = [[t] for t in window] if lazy else [window]
         checked = 0
-        for t, fs in zip(frames, batches):
-            checked += 1
-            if fs is None:
-                # Structural hashing folded every pair to equality: the
-                # commitment cannot differ at this frame (no SAT needed).
-                continue
-            for obligation in fs.obligations:
+        for frames in steps:
+            exported = [
+                (t, self.model.frame_obligation(
+                    regs, t, conflict_limit, slice=self.slice,
+                    wall_budget=wall_budget,
+                ))
+                for t in frames
+            ]
+            verdicts = iter(self.engine.solve_ordered(
+                [ob for _, ob in exported if ob is not None],
+                early_stop=lambda v: not v.unsat,
+            ))
+            for t, obligation in exported:
+                checked += 1
+                if obligation is None:
+                    # Structural hashing folded every pair to equality:
+                    # the commitment cannot differ at this frame.
+                    continue
                 verdict = next(verdicts)
                 if verdict is None or verdict.unsat:
                     continue
@@ -294,103 +234,13 @@ class UpecChecker:
                         stats=self._engine_stats(since),
                         reason=_inconclusive_reason(verdict),
                     )
-                if fs.full:
-                    return self._alert_result(
-                        obligation, verdict, t, regs, witness_signals,
-                        checked, start, since,
-                    )
-                return self._alert_via_full(
-                    fs, t, regs, witness_signals, checked, start, since,
+                return self._alert_result(
+                    obligation, verdict, t, regs, witness_signals,
+                    checked, start, since,
                 )
         return UpecCheckResult(
             status=PROVED, k=k, runtime_s=time.perf_counter() - start,
             checked_frames=checked, stats=self._engine_stats(since),
-        )
-
-    def _check_engine_lazy(
-        self,
-        k: int,
-        regs: Sequence[Reg],
-        start_frame: int,
-        conflict_limit: Optional[int],
-        witness_signals: bool,
-        start: float,
-        since: Dict[str, int],
-        split: bool = False,
-        wall_budget: Optional[float] = None,
-    ) -> UpecCheckResult:
-        """Frame-at-a-time export and solve: an alert at frame ``t``
-        means frames ``t+1..k`` are never unrolled or exported.
-
-        In split mode each frame's group obligations still go through
-        the ordered scheduler (a per-frame batch), so the first
-        non-UNSAT group is the same one an eager jobs=N run selects."""
-        checked = 0
-        for t in range(start_frame, k + 1):
-            fs = self._frame_split(regs, t, conflict_limit, split,
-                                   slice=True, wall_budget=wall_budget)
-            checked += 1
-            if fs is None:
-                continue
-            verdicts = self.engine.solve_ordered(
-                fs.obligations, early_stop=lambda v: not v.unsat
-            )
-            for obligation, verdict in zip(fs.obligations, verdicts):
-                if verdict is None or verdict.unsat:
-                    continue
-                if not verdict.sat:
-                    return UpecCheckResult(
-                        status=INCONCLUSIVE, k=t,
-                        runtime_s=time.perf_counter() - start,
-                        checked_frames=checked,
-                        stats=self._engine_stats(since),
-                        reason=_inconclusive_reason(verdict),
-                    )
-                if fs.full:
-                    return self._alert_result(
-                        obligation, verdict, t, regs, witness_signals,
-                        checked, start, since,
-                    )
-                return self._alert_via_full(
-                    fs, t, regs, witness_signals, checked, start, since,
-                )
-        return UpecCheckResult(
-            status=PROVED, k=k, runtime_s=time.perf_counter() - start,
-            checked_frames=checked, stats=self._engine_stats(since),
-        )
-
-    def _alert_via_full(
-        self,
-        fs,
-        t: int,
-        regs: Sequence[Reg],
-        witness_signals: bool,
-        checked: int,
-        start: float,
-        since: Dict[str, int],
-    ) -> UpecCheckResult:
-        """A split register group is SAT at frame ``t``: re-solve the
-        frame's canonical *unsplit* obligation (pre-exported alongside
-        the groups, so its bytes match an unsplit run's) and report the
-        alert from its model — the alert register set and witness trace
-        are then bit-identical to unsplit mode, regardless of which
-        group fired or what partial model its solver found."""
-        verdict = self.engine.solve(fs.full_obligation)
-        if verdict.unsat:
-            raise UpecError(
-                f"split consistency violation at frame {t}: a register "
-                "group is SAT but the frame's full obligation is UNSAT"
-            )
-        if not verdict.sat:
-            return UpecCheckResult(
-                status=INCONCLUSIVE, k=t,
-                runtime_s=time.perf_counter() - start,
-                checked_frames=checked, stats=self._engine_stats(since),
-                reason=_inconclusive_reason(verdict),
-            )
-        return self._alert_result(
-            fs.full_obligation, verdict, t, regs, witness_signals,
-            checked, start, since,
         )
 
     def _alert_result(

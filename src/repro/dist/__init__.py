@@ -1,8 +1,7 @@
 """Distributed proof service: network-sharded obligation solving.
 
-Three processes cooperate (all speaking the length-prefixed
-msgpack/JSON protocol of :mod:`repro.dist.protocol`, behind a versioned
-handshake):
+Three processes cooperate (all speaking the length-prefixed JSON-frame
+protocol of :mod:`repro.dist.protocol`, behind a versioned handshake):
 
 * the **broker** (:class:`repro.dist.broker.Broker`, ``repro serve``)
   queues sliced :class:`~repro.engine.obligation.ProofObligation`

@@ -40,9 +40,8 @@ from repro.errors import DistError
 #: Environment knob: the CLI's default broker address (``HOST:PORT``) —
 #: ``repro check``/``methodology``/``sweep`` shard over it without the
 #: ``--connect`` flag (an explicit ``--jobs`` overrides it back to the
-#: local pool).  Library call sites constructed with ``engine=None``
-#: still resolve through ``REPRO_ENGINE_JOBS``/``REPRO_ENGINE_CACHE``
-#: only; pass a :class:`RemoteEngine` explicitly to shard them.
+#: local pool).  The library never reads it: pass a
+#: :class:`RemoteEngine` explicitly to shard a library call site.
 CONNECT_ENV = "REPRO_ENGINE_CONNECT"
 
 
@@ -90,12 +89,12 @@ class RemotePool:
     def jobs(self) -> int:
         """Advertised parallelism.
 
-        At least 2 even for a single-worker fleet: the scheduler layers
-        (:meth:`UpecChecker._check_engine`) use ``jobs == 1`` to mean
-        "solving is in-process and lazy export pays", which is never
-        true across a network — remote runs always take the eager
-        batch-export path, whose obligation stream is bit-identical to
-        the lazy one's.
+        At least 2 even for a single-worker fleet: the checker
+        (:meth:`UpecChecker._check_engine`) uses ``jobs == 1`` to mean
+        "solving is in-process, so export one frame per step", which is
+        never true across a network — remote runs always export the
+        whole window at once, whose obligation stream is bit-identical
+        to the frame-by-frame one.
         """
         return max(2, self._workers_at_connect)
 

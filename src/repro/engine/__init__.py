@@ -11,11 +11,8 @@ layers:
   solved inline.  By default exports are cut to the query's cone of
   influence (:mod:`repro.engine.slice`), canonically renumbered so the
   same logical query is bit-identical — and cache-key identical — no
-  matter how the shared context grew (``REPRO_ENGINE_SLICE=0``
-  restores whole-context snapshots).  :mod:`repro.engine.split`
-  additionally splits a UPEC frame's commitment check into independent
-  per-register(-group) obligations (``split=`` /
-  ``REPRO_ENGINE_SPLIT=1``) so one deep frame can saturate the fleet.
+  matter how the shared context grew (``slice=False`` restores
+  whole-context snapshots).
 * **scheduler** (:mod:`repro.engine.pool`) — :class:`SolverPool` runs
   obligation batches on a ``multiprocessing`` worker pool (in-process at
   ``jobs=1``), consuming results in submission order with early-cancel
@@ -29,8 +26,8 @@ layers:
 :class:`ProofEngine` ties the three together and is what the formal
 stack (``UpecChecker``, ``UpecMethodology``, ``InductiveDiffProof``,
 ``BmcEngine``, ``prove_by_induction``) accepts as its ``engine``
-parameter.  ``REPRO_ENGINE_JOBS`` / ``REPRO_ENGINE_CACHE`` configure a
-process-wide default engine for call sites that were not handed one.
+parameter; without one, those call sites solve on their incremental
+in-context solver.
 
 The scheduler seam is pluggable: :mod:`repro.dist` provides
 :class:`~repro.dist.remote.RemotePool`, a SolverPool-compatible
@@ -51,17 +48,8 @@ from repro.engine.obligation import (
     solve_obligation,
     unpack_model,
 )
-from repro.engine.pool import (
-    CACHE_ENV,
-    INLINE,
-    JOBS_ENV,
-    ProofEngine,
-    SolverPool,
-    default_engine,
-    resolve_engine,
-)
-from repro.engine.slice import SLICE_ENV, SliceResult, env_slice, slice_cnf
-from repro.engine.split import SPLIT_ENV, FrameSplit, env_split
+from repro.engine.pool import ProofEngine, SolverPool
+from repro.engine.slice import SliceResult, slice_cnf
 from repro.engine.sweep import (
     CELL_ALERT_WINDOW,
     CELL_METHODOLOGY,
@@ -72,15 +60,9 @@ from repro.engine.sweep import (
 )
 
 __all__ = [
-    "CACHE_ENV",
     "CACHE_MAX_ENV",
     "CELL_ALERT_WINDOW",
     "CELL_METHODOLOGY",
-    "FrameSplit",
-    "INLINE",
-    "JOBS_ENV",
-    "SLICE_ENV",
-    "SPLIT_ENV",
     "ProofEngine",
     "ProofObligation",
     "ResultCache",
@@ -94,11 +76,7 @@ __all__ = [
     "UNKNOWN",
     "UNSAT",
     "Verdict",
-    "default_engine",
-    "env_slice",
-    "env_split",
     "pack_model",
-    "resolve_engine",
     "slice_cnf",
     "solve_obligation",
     "unpack_model",

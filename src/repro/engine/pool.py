@@ -18,19 +18,11 @@ parameter.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.obligation import ProofObligation, Verdict, solve_obligation
-
-#: Environment knob: default worker count for engines constructed without
-#: an explicit ``jobs`` (lets CI run the whole suite through the parallel
-#: path without touching call sites).
-JOBS_ENV = "REPRO_ENGINE_JOBS"
-#: Environment knob: default cache directory.
-CACHE_ENV = "REPRO_ENGINE_CACHE"
 
 #: Per-process cache of pool workers, built once by the executor
 #: initializer (pickling the parent's cache per task would ship its
@@ -48,35 +40,6 @@ def _pool_solve(obligation: ProofObligation) -> Verdict:
     """Worker-process solve: warm-starts from (and feeds) the shared
     cache directory, exactly like the in-process path."""
     return solve_obligation(obligation, simp_cache=_POOL_CACHE)
-
-
-class _InlineSentinel:
-    """Marker for ``engine=INLINE``: force the legacy in-context solver,
-    ignoring the environment defaults (used by sweep workers so pools are
-    never nested)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "INLINE"
-
-
-INLINE = _InlineSentinel()
-
-
-def resolve_engine(engine):
-    """Normalize an ``engine`` argument: None consults the environment
-    defaults, :data:`INLINE` forces the legacy path (returns None)."""
-    if engine is INLINE:
-        return None
-    if engine is None:
-        return default_engine()
-    return engine
-
-
-def env_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 class SolverPool:
@@ -173,7 +136,7 @@ class ProofEngine:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache_dir: Optional[str] = None,
         cache: Optional[ResultCache] = None,
         pool=None,
@@ -183,11 +146,7 @@ class ProofEngine:
         :class:`repro.dist.remote.RemotePool` that ships obligations to
         a broker (``jobs`` is then ignored — parallelism is the
         fleet's)."""
-        if cache is None and cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV) or None
-        if pool is None:
-            pool = SolverPool(env_jobs() if jobs is None else jobs)
-        self.pool = pool
+        self.pool = pool if pool is not None else SolverPool(jobs)
         self.cache = cache if cache is not None else (
             ResultCache(cache_dir) if cache_dir else None
         )
@@ -292,8 +251,8 @@ class ProofEngine:
     # ------------------------------------------------------------------
     def stats(self, since: Optional[Dict[str, int]] = None) -> Dict[str, int]:
         """Engine counters — cumulative, or relative to an earlier
-        :meth:`stats` snapshot so shared/singleton engines can report
-        per-run numbers."""
+        :meth:`stats` snapshot so shared engines can report per-run
+        numbers."""
         data = dict(self._solver_totals)
         data["engine_jobs"] = self.jobs
         data["engine_obligations_solved"] = self.solved
@@ -306,34 +265,3 @@ class ProofEngine:
                     data[key] -= since.get(key, 0)
         return data
 
-
-_shared_engine: Optional[ProofEngine] = None
-_shared_key: Optional[tuple] = None
-
-
-def default_engine() -> Optional[ProofEngine]:
-    """The environment-configured engine shared by call sites that were
-    not handed an explicit one.
-
-    Returns None (legacy in-context solving) unless ``REPRO_ENGINE_JOBS``,
-    ``REPRO_ENGINE_CACHE`` or ``REPRO_ENGINE_SPLIT`` asks for the
-    obligation path.  The engine is a singleton so one worker pool
-    serves the whole process.
-    """
-    global _shared_engine, _shared_key
-    from repro.engine.split import env_split
-
-    key = (env_jobs(), os.environ.get(CACHE_ENV) or None)
-    if key == (1, None) and not env_split():
-        # REPRO_ENGINE_SPLIT needs the obligation path even without a
-        # pool or cache — the incremental solver has nothing to split.
-        return None
-    if _shared_engine is None or _shared_key != key:
-        if _shared_engine is not None:
-            # Don't leak the previous configuration's worker pool.  A
-            # holder of the old engine stays usable: its pool re-spawns
-            # lazily on the next batch.
-            _shared_engine.close()
-        _shared_engine = ProofEngine(jobs=key[0], cache_dir=key[1])
-        _shared_key = key
-    return _shared_engine

@@ -162,33 +162,29 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.methodology import UpecMethodology
     from repro.core.model import UpecModel, UpecScenario
     from repro.core.upec import UpecChecker
-    from repro.engine.pool import INLINE, ProofEngine
+    from repro.engine.pool import ProofEngine
 
     start = time.perf_counter()
     soc = _soc_for(payload["variant"])
     scenario = UpecScenario(**payload["scenario"])
     # With a broker address the cell shards its obligations over the
     # distributed proof service; with a cache directory it takes the
-    # local obligation path (jobs=1, in-process) so verdicts persist;
-    # otherwise the incremental in-context solver is used.  Never the
-    # environment defaults: pools must not nest inside sweep workers.
+    # local obligation path (jobs=1, in-process, so pools never nest
+    # inside sweep workers) and verdicts persist; otherwise the
+    # incremental in-context solver is used.
+    engine = None
     if payload.get("connect"):
         from repro.dist.remote import RemoteEngine
 
         engine = RemoteEngine(payload["connect"],
                               cache_dir=payload["cache_dir"])
-    elif payload["cache_dir"] or payload.get("split"):
-        # Splitting needs the obligation path — the incremental
-        # in-context solver has nothing to split.
+    elif payload["cache_dir"]:
         engine = ProofEngine(jobs=1, cache_dir=payload["cache_dir"])
-    else:
-        engine = INLINE
     try:
         if payload.get("cell_type") == CELL_ALERT_WINDOW:
             model = UpecModel(soc, scenario, simplify=payload["simplify"])
             checker = UpecChecker(model, engine=engine,
-                                  slice=payload.get("slice"),
-                                  split=payload.get("split"))
+                                  slice=payload["slice"])
             check = checker.find_first_alert_window(
                 max_k=payload["k"],
                 conflict_limit=payload["conflict_limit"],
@@ -209,8 +205,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 conflict_limit=payload["conflict_limit"],
                 simplify=payload["simplify"],
                 engine=engine,
-                slice=payload.get("slice"),
-                split=payload.get("split"),
+                slice=payload["slice"],
                 wall_budget=payload.get("wall_budget"),
             )
             result = methodology.run(
@@ -218,7 +213,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 max_iterations=payload["max_iterations"],
             ).to_dict()
     finally:
-        if engine is not INLINE:
+        if engine is not None:
             engine.close()
     return {
         "result": result,
@@ -236,9 +231,8 @@ class ScenarioSweep:
         conflict_limit: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_iterations: int = 64,
-        slice: Optional[bool] = None,
+        slice: bool = True,
         connect: Optional[str] = None,
-        split: Optional[bool] = None,
         wall_budget: Optional[float] = None,
     ) -> None:
         self.cells = list(cells)
@@ -248,7 +242,6 @@ class ScenarioSweep:
         self.max_iterations = max_iterations
         self.slice = slice
         self.connect = connect
-        self.split = split
         self.wall_budget = wall_budget
 
     # ------------------------------------------------------------------
@@ -325,7 +318,6 @@ class ScenarioSweep:
             "max_iterations": self.max_iterations,
             "slice": self.slice,
             "connect": self.connect,
-            "split": self.split,
         }
 
     def run(self, jobs: int = 1) -> SweepResult:

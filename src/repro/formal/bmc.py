@@ -145,11 +145,6 @@ class SatContext:
         finally:
             log.unit_tag = None
 
-    def bump_stat(self, key: str, amount: int = 1) -> None:
-        """Accumulate an export-side counter into :meth:`stats` (used by
-        the slicing and frame-splitting layers)."""
-        self._slice_totals[key] = self._slice_totals.get(key, 0) + amount
-
     def export_obligation(
         self,
         name: str,
@@ -157,29 +152,21 @@ class SatContext:
         conflict_limit: Optional[int] = None,
         wall_budget: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
-        slice: Optional[bool] = None,
+        slice: bool = True,
         frame: Optional[int] = None,
-        disjunction: bool = False,
     ):
         """Snapshot the current formula plus AIG-literal assumptions as a
         serializable :class:`repro.engine.obligation.ProofObligation`.
 
-        With slicing (the default, see ``REPRO_ENGINE_SLICE``) the
-        obligation carries only the cone of influence of the assumptions
-        and the asserted units — canonically renumbered, so its
-        fingerprint does not depend on how the shared context grew.
-        ``frame`` additionally drops units tagged with a later frame
-        (the UPEC per-frame window assumptions).
-
-        With ``disjunction=True`` the mapped assumption literals become
-        a single appended root clause (their OR) and the obligation
-        carries no assumptions: SAT iff *any* of the literals is
-        satisfiable with the formula.  This is how the frame splitter
-        (:mod:`repro.engine.split`) batches a register group into one
-        obligation without emitting new OR gates into the shared CNF.
+        With slicing (the default) the obligation carries only the cone
+        of influence of the assumptions and the asserted units —
+        canonically renumbered, so its fingerprint does not depend on
+        how the shared context grew.  ``frame`` additionally drops units
+        tagged with a later frame (the UPEC per-frame window
+        assumptions).  ``slice=False`` snapshots the whole context.
         """
         from repro.engine.obligation import ProofObligation
-        from repro.engine.slice import env_slice, slice_cnf
+        from repro.engine.slice import slice_cnf
 
         # Mapping the assumptions may emit their cones; do it before the
         # clause snapshot so the obligation is self-contained.
@@ -188,7 +175,7 @@ class SatContext:
         totals = self._slice_totals
         totals["obligations_exported"] = \
             totals.get("obligations_exported", 0) + 1
-        if env_slice() if slice is None else slice:
+        if slice:
             sliced = slice_cnf(
                 clauses=log.clauses,
                 nvars=log.nvars,
@@ -203,16 +190,11 @@ class SatContext:
                 totals.get("obligations_sliced", 0) + 1
             for key, value in sliced.stats().items():
                 totals[key] = totals.get(key, 0) + value
-            clauses = sliced.clauses
-            query = sliced.assumptions
-            if disjunction:
-                clauses = clauses + [query]
-                query = []
             return ProofObligation(
                 name=name,
                 nvars=sliced.nvars,
-                clauses=clauses,
-                assumptions=query,
+                clauses=sliced.clauses,
+                assumptions=sliced.assumptions,
                 frozen=sliced.frozen,
                 simplify=self.simplify,
                 conflict_limit=conflict_limit,
@@ -221,14 +203,10 @@ class SatContext:
                 remap=sliced.remap,
                 orig_nvars=log.nvars,
             )
-        clauses = list(log.clauses)
-        if disjunction:
-            clauses.append(list(dimacs))
-            dimacs = []
         return ProofObligation(
             name=name,
             nvars=log.nvars,
-            clauses=clauses,
+            clauses=list(log.clauses),
             assumptions=dimacs,
             frozen=sorted(log.frozen),
             simplify=self.simplify,
@@ -375,25 +353,16 @@ class BmcEngine:
     frame's query is exported as a proof obligation and dispatched to
     the scheduler/cache layers; otherwise queries are solved on the
     context's incremental in-process solver.
-
-    ``split`` is accepted for uniformity with the UPEC stack (the
-    ``REPRO_ENGINE_SPLIT`` knob applies everywhere) but is a no-op
-    here: a BMC frame's target is a single assertion literal — there is
-    no commitment disjunction to split.
     """
 
     def __init__(self, circuit: Circuit, init: str = "reset",
                  simplify: bool = True, engine=None,
-                 slice: Optional[bool] = None,
-                 split: Optional[bool] = None) -> None:
+                 slice: bool = True) -> None:
         self.circuit = circuit.finalize()
         self.context = SatContext(simplify=simplify)
         self.unroller = Unroller(circuit, self.context.aig, init=init)
         self.slice = slice
-        self.split = split
-        from repro.engine.pool import resolve_engine
-
-        self.engine = resolve_engine(engine)
+        self.engine = engine
 
     def extract_witness(self, depth: int, failed_frame: int) -> Witness:
         frames: List[Dict[str, int]] = []

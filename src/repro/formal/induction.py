@@ -55,8 +55,7 @@ def prove_by_induction(
     conflict_limit: Optional[int] = None,
     simplify: bool = True,
     engine=None,
-    slice: Optional[bool] = None,
-    split: Optional[bool] = None,
+    slice: bool = True,
 ) -> InductionResult:
     """Attempt to prove ``AG prop`` (under per-cycle assumptions) by
     k-induction.
@@ -67,17 +66,11 @@ def prove_by_induction(
     """
     if prop.width != 1:
         raise FormalError("property must be a 1-bit expression")
-    from repro.engine.pool import INLINE, resolve_engine
-
-    engine = resolve_engine(engine)
     start = time.perf_counter()
 
-    # Base case: BMC from reset for k cycles.  The resolved engine is
-    # passed down verbatim — a resolved legacy path becomes INLINE so
-    # the BMC engine does not re-consult the environment defaults.
+    # Base case: BMC from reset for k cycles.
     base_engine = BmcEngine(circuit, init="reset", simplify=simplify,
-                            engine=engine if engine is not None else INLINE,
-                            slice=slice, split=split)
+                            engine=engine, slice=slice)
     base = base_engine.check_always(
         prop, k=k, assumptions=assumptions, conflict_limit=conflict_limit
     )

@@ -143,6 +143,35 @@ def test_check_and_methodology_reject_nonpositive_jobs(capsys):
     assert main(["methodology", "secure", "--jobs", "-1"]) == 64
 
 
+# A window below one frame is a usage error, not an uncaught UpecError
+# (``check`` reserves exit 1 for "P-alert found").
+def test_check_rejects_window_below_one(capsys):
+    assert main(["check", "secure", "--k", "0"]) == 64
+    assert "--k" in capsys.readouterr().err
+
+
+def test_methodology_rejects_window_below_one(capsys):
+    assert main(["methodology", "secure", "--k", "-1"]) == 64
+    assert "--k" in capsys.readouterr().err
+
+
+def test_sweep_rejects_window_below_one(capsys):
+    assert main(["sweep", "--variants", "secure", "--k", "0"]) == 64
+    assert "--k" in capsys.readouterr().err
+
+
+def test_cache_env_is_the_cache_dir_default(monkeypatch):
+    """REPRO_ENGINE_CACHE is a deployment default for --cache-dir on the
+    solver-backed commands; the flag still wins."""
+    monkeypatch.setenv("REPRO_ENGINE_CACHE", "/tmp/env-cache")
+    parser = build_parser()
+    for argv in (["check", "secure"], ["methodology", "secure"],
+                 ["sweep"]):
+        assert parser.parse_args(argv).cache_dir == "/tmp/env-cache"
+        assert parser.parse_args(argv + ["--cache-dir", "/tmp/c"]) \
+            .cache_dir == "/tmp/c"
+
+
 def test_connect_rejects_malformed_address(capsys):
     rc = main(["check", "secure", "--connect", "not-an-address"])
     assert rc == 64

@@ -136,10 +136,9 @@ def _methodology_signature(result):
     )
 
 
-def _run_methodology(variant, engine, k=2, split=None):
+def _run_methodology(variant, engine, k=2):
     soc = build_soc(getattr(SocConfig, variant)(**FORMAL_CONFIG_KWARGS))
-    return UpecMethodology(soc, SCENARIO, engine=engine,
-                           split=split).run(k=k)
+    return UpecMethodology(soc, SCENARIO, engine=engine).run(k=k)
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +160,26 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     assert back.remap is None and back.orig_nvars == 0
 
 
+def test_frame_with_unknown_tag_is_rejected():
+    """Frames are JSON only: a frame under any other tag fails loudly,
+    even when its checksum is valid."""
+    import zlib
+
+    from repro.dist.protocol import _HEADER, ProtocolError
+
+    payload = b'{"type":"ping"}'
+    tag = ord("M")
+    crc = zlib.crc32(payload, zlib.crc32(bytes([tag])))
+    left, right = socket.socketpair()
+    try:
+        left.sendall(_HEADER.pack(len(payload), tag, crc) + payload)
+        with pytest.raises(ProtocolError, match="unknown frame tag"):
+            Connection(right).recv()
+    finally:
+        left.close()
+        right.close()
+
+
 def test_parse_address():
     assert parse_address("10.0.0.1:7769") == ("10.0.0.1", 7769)
     for bad in ("nohost", "host:port", ":123", "x:", "h:0", "h:99999",
@@ -173,7 +192,7 @@ def test_handshake_rejects_version_mismatch(broker):
     sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
     conn = Connection(sock)
     conn.send({"type": "hello", "proto": PROTO_VERSION + 999,
-               "role": "worker", "codecs": ["json"]})
+               "role": "worker"})
     reply = conn.recv()
     assert reply["type"] == "error"
     assert "version mismatch" in reply["reason"]
@@ -187,7 +206,7 @@ def test_handshake_rejects_unknown_role(broker):
     sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
     conn = Connection(sock)
     conn.send({"type": "hello", "proto": PROTO_VERSION,
-               "role": "observer", "codecs": ["json"]})
+               "role": "observer"})
     reply = conn.recv()
     assert reply["type"] == "error"
     assert "role" in reply["reason"]
@@ -598,43 +617,6 @@ def test_methodology_survives_worker_kill_mid_run(broker):
         _methodology_signature(outcome["result"])
 
 
-def test_methodology_split_distributed_matches_sequential_with_worker_kill(
-        broker):
-    """Intra-frame splitting over the distributed service: a split run
-    sharded across two workers — one SIGKILLed mid-run — must match both
-    the sequential split run and the sequential *unsplit* oracle."""
-    victim = broker.spawn(solve_delay=0.05)
-    broker.spawn(solve_delay=0.05)
-    unsplit = _run_methodology("orc", engine=ProofEngine(jobs=1))
-    sequential = _run_methodology("orc", engine=ProofEngine(jobs=1),
-                                  split=True)
-    assert _methodology_signature(unsplit) == \
-        _methodology_signature(sequential)
-    engine = RemoteEngine(broker.address)
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = _run_methodology("orc", engine=engine,
-                                                 split=True)
-        except Exception as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    try:
-        assert _wait_for(lambda: broker.snapshot()["memo"] >= 1,
-                         timeout=60), "distributed run never progressed"
-        victim.kill()
-        thread.join(timeout=300)
-        assert not thread.is_alive(), "split methodology hung after kill"
-    finally:
-        engine.close()
-    assert "error" not in outcome, outcome.get("error")
-    assert _methodology_signature(unsplit) == \
-        _methodology_signature(outcome["result"])
-
-
 # ----------------------------------------------------------------------
 # Gossip backlog management
 # ----------------------------------------------------------------------
@@ -786,7 +768,6 @@ def test_flapping_broker_worker_backs_off():
     the retry budget: the old loop reset ``retries`` on every successful
     dial, so a flapping broker produced a zero-delay reconnect spin that
     never gave up."""
-    from repro.dist.protocol import supported_codecs
     from repro.dist.worker import Worker
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -806,8 +787,7 @@ def test_flapping_broker_worker_backs_off():
             try:
                 conn.recv()
                 conn.send({"type": "welcome", "proto": PROTO_VERSION,
-                           "codec": supported_codecs()[-1], "id": "x",
-                           "workers": 0})
+                           "id": "x", "workers": 0})
             except Exception:
                 pass
             conn.close()

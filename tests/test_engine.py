@@ -481,27 +481,6 @@ def test_engine_stats_aggregate():
         engine.close()
 
 
-def test_default_engine_env(monkeypatch):
-    import repro.engine.pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "_shared_engine", None)
-    monkeypatch.setattr(pool_mod, "_shared_key", None)
-    monkeypatch.delenv(pool_mod.JOBS_ENV, raising=False)
-    monkeypatch.delenv(pool_mod.CACHE_ENV, raising=False)
-    assert pool_mod.default_engine() is None
-    monkeypatch.setenv(pool_mod.JOBS_ENV, "2")
-    engine = pool_mod.default_engine()
-    try:
-        assert engine is not None and engine.jobs == 2
-        assert pool_mod.default_engine() is engine  # singleton
-        assert pool_mod.resolve_engine(None) is engine
-        assert pool_mod.resolve_engine(pool_mod.INLINE) is None
-    finally:
-        engine.close()
-        monkeypatch.setattr(pool_mod, "_shared_engine", None)
-        monkeypatch.setattr(pool_mod, "_shared_key", None)
-
-
 # ----------------------------------------------------------------------
 # Index flush on destruction / context exit (worker-death regression)
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.closure import CondEq
 from repro.core.upec import UpecCheckResult
-from repro.engine import INLINE, ProofEngine, ScenarioSweep
+from repro.engine import ProofEngine, ScenarioSweep
 from repro.formal import BmcEngine, prove_by_induction
 from repro.hdl import Circuit
 from repro.soc import SocConfig, build_soc
@@ -75,9 +75,34 @@ def test_engine_verdicts_match_legacy_inline_path():
     alerting frame, which is formula-determined) must agree."""
     for name in ("secure", "orc"):
         soc = SOCS[name]
-        legacy = UpecMethodology(soc, SCENARIO, engine=INLINE).run(k=2)
+        legacy = UpecMethodology(soc, SCENARIO, engine=None).run(k=2)
         engine = UpecMethodology(soc, SCENARIO, jobs=1).run(k=2)
         assert legacy.verdict == engine.verdict, name
+
+
+def test_unsliced_export_takes_the_whole_window_at_jobs1():
+    """The one schedule rule of the engine path: an unsliced obligation
+    depends on how far the shared CNF grew, so ``slice=False`` exports
+    the whole window up front even at jobs=1 (frames past an early alert
+    included), which keeps its obligation stream — and the methodology
+    signature, witnesses included — equal to the jobs=2 unsliced run."""
+    model = UpecModel(SOCS["orc"], SCENARIO)
+    engine = ProofEngine(jobs=1)
+    try:
+        result = UpecChecker(model, engine=engine, slice=False).check(k=3)
+    finally:
+        engine.close()
+    assert result.status == "alert" and result.k < 3
+    assert model.stats()["obligations_exported"] == 3
+    parallel = ProofEngine(jobs=2)
+    try:
+        seq = UpecMethodology(SOCS["orc"], SCENARIO, jobs=1,
+                              slice=False).run(k=2)
+        par = UpecMethodology(SOCS["orc"], SCENARIO, engine=parallel,
+                              slice=False).run(k=2)
+    finally:
+        parallel.close()
+    assert _methodology_signature(seq) == _methodology_signature(par)
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +125,7 @@ def test_refinement_loop_removes_alert_regs_and_resumes():
 
     UpecChecker.check = spy
     try:
-        result = UpecMethodology(SOCS["orc"], SCENARIO, engine=INLINE) \
+        result = UpecMethodology(SOCS["orc"], SCENARIO, engine=None) \
             .run(k=4)
     finally:
         UpecChecker.check = original
@@ -168,7 +193,7 @@ def test_closure_step_parallel_matches_legacy_verdicts():
         CondEq(soc.resp_buf, cond=None),
         CondEq(soc.secret_cache_data_reg, cond=None),
     ]
-    legacy = InductiveDiffProof(soc, SCENARIO, bad, engine=INLINE) \
+    legacy = InductiveDiffProof(soc, SCENARIO, bad, engine=None) \
         .check_step(conflict_limit=200_000)
     parallel = ProofEngine(jobs=2)
     try:
@@ -247,7 +272,7 @@ def test_sweep_grid_runs_and_matches_direct_methodology(tmp_path):
         ["secure/cached/k=1", "orc/cached/k=1"]
     verdicts = seq.verdicts()
     direct = {
-        name: UpecMethodology(SOCS[name], SCENARIO, engine=INLINE)
+        name: UpecMethodology(SOCS[name], SCENARIO, engine=None)
         .run(k=1).verdict
         for name in ("secure", "orc")
     }
@@ -264,6 +289,15 @@ def test_sweep_grid_runs_and_matches_direct_methodology(tmp_path):
     assert len(seq.rows()) == 2
 
 
+def test_sweep_worker_memoizes_soc_per_variant():
+    from repro.engine import sweep as sweep_mod
+
+    sweep_mod._SOC_CACHE.clear()
+    first = sweep_mod._soc_for("orc")
+    assert sweep_mod._soc_for("orc") is first
+    assert sweep_mod._soc_for("secure") is not first
+
+
 # ----------------------------------------------------------------------
 # Serialization satellites
 # ----------------------------------------------------------------------
@@ -271,7 +305,7 @@ def test_check_result_to_dict_roundtrips_through_json():
     import json
 
     model = UpecModel(SOCS["orc"], SCENARIO)
-    result = UpecChecker(model, engine=INLINE).check(k=1)
+    result = UpecChecker(model, engine=None).check(k=1)
     data = json.loads(json.dumps(result.to_dict()))
     assert data["status"] == "alert"
     assert data["alert"]["kind"] == "P"
@@ -305,7 +339,7 @@ def test_table2_grid_reports_first_alert_window():
         assert out.result["alert"] is not None
     # The oracle: the checker's own find_first_alert_window.
     direct = UpecChecker(
-        UpecModel(SOCS["orc"], SCENARIO), engine=INLINE
+        UpecModel(SOCS["orc"], SCENARIO), engine=None
     ).find_first_alert_window(max_k=2)
     orc = result.outcomes[1].result
     assert orc["alert_frame"] == direct.k
