@@ -344,9 +344,6 @@ def cmd_serve(args) -> int:
         raise UsageError("--heartbeat-timeout must be at least 2 seconds "
                          f"(got {args.heartbeat_timeout}); workers "
                          "heartbeat once per second")
-    if args.durable and not args.cache_dir:
-        raise UsageError("--durable requires --cache-dir: the queue "
-                         "journals and verdict store live there")
     if args.max_queued is not None and args.max_queued < 1:
         raise UsageError("--max-queued must be a positive integer "
                          f"(got {args.max_queued})")
@@ -354,7 +351,7 @@ def cmd_serve(args) -> int:
         host=args.host, port=args.port,
         heartbeat_timeout=args.heartbeat_timeout,
         http_port=args.http_port,
-        cache_dir=args.cache_dir if args.durable else None,
+        cache_dir=args.cache_dir,
         max_queued=args.max_queued,
     )
     try:
@@ -367,7 +364,7 @@ def cmd_serve(args) -> int:
           + (f", job API on http://{broker.host}:{broker.http_port}"
              if broker.http_port is not None else "")
           + (f", durable state in {args.cache_dir}"
-             if args.durable else ""),
+             if broker.durable else ""),
           flush=True)
     try:
         while True:
@@ -580,12 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also serve the HTTP/JSON job API on this "
                               "port (see 'repro submit'/'repro status')")
     p_serve.add_argument("--cache-dir", default=None,
-                         help="verdict store + durable queue/job state "
-                              "(required by --durable)")
-    p_serve.add_argument("--durable", action="store_true",
-                         help="persist queue, memo and job state under "
-                              "--cache-dir so a restarted broker resumes "
-                              "where it died")
+                         help="persist the verdict memo, queue, job and "
+                              "quarantine state here, so a restarted "
+                              "broker resumes where it stopped")
     p_serve.add_argument("--heartbeat-timeout", type=float, default=10.0,
                          help="seconds of silence before a worker is "
                               "declared dead and its work requeued")

@@ -7,7 +7,9 @@ protocol of :mod:`repro.dist.protocol`, behind a versioned handshake):
   queues sliced :class:`~repro.engine.obligation.ProofObligation`
   batches, tracks worker registration and heartbeats, requeues work
   from dead or stale workers, memoizes verdicts by fingerprint, and
-  relays network-wide sibling early-cancel;
+  relays network-wide sibling early-cancel — its scheduling state and
+  decisions live in the I/O-free :class:`repro.dist.scheduler.Scheduler`,
+  the broker itself being the asyncio TCP/HTTP shell around it;
 * **workers** (:class:`repro.dist.worker.Worker`, ``repro worker``)
   pull obligations and solve them with the exact in-process stack
   (preprocessing included), fronted by a local

@@ -78,6 +78,10 @@ class RemotePool:
         #: How many consecutive ``busy`` (backpressure) refusals to ride
         #: out with jittered backoff before giving up on a submit.
         self.busy_retries = max(1, int(busy_retries))
+        #: Obligations handed to :meth:`solve_ordered`, and the verdicts
+        #: it consumed (the job API reports these as a job's progress).
+        self.submitted = 0
+        self.completed = 0
         self._conn: Optional[Connection] = None
         self._batch_ids = itertools.count(1)
         self._client_id = ""
@@ -190,6 +194,7 @@ class RemotePool:
         """
         if not obligations:
             return []
+        self.submitted += len(obligations)
         results: List[Optional[Verdict]] = [None] * len(obligations)
         arrived: Dict[int, Verdict] = {}
         consumed = 0
@@ -299,6 +304,7 @@ class RemotePool:
                     if on_verdict is not None:
                         on_verdict(obligations[consumed], verdict)
                     consumed += 1
+                    self.completed += 1
                     if early_stop is not None and early_stop(verdict):
                         stopped = True
                         self._send(conn, {"type": "cancel",

@@ -253,3 +253,41 @@ def test_serve_rejects_flappy_heartbeat_timeout(capsys):
     rc = main(["serve", "--port", "0", "--heartbeat-timeout", "0.5"])
     assert rc == 64
     assert "heartbeat" in capsys.readouterr().err
+
+
+def test_serve_cache_dir_alone_makes_the_broker_durable(monkeypatch,
+                                                        tmp_path, capsys):
+    """`serve --cache-dir DIR` hands DIR to the broker: a cache
+    directory is all it takes to make the broker durable."""
+    import time
+
+    import repro.dist.broker as broker_mod
+
+    made = {}
+
+    class FakeBroker:
+        heartbeat_timeout = 10.0
+        address = "127.0.0.1:7769"
+        host = "127.0.0.1"
+        http_port = None
+
+        def __init__(self, **kwargs):
+            made.update(kwargs)
+            self.durable = kwargs.get("cache_dir") is not None
+
+        def start(self):
+            return self
+
+        def stop(self):
+            made["stopped"] = True
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(broker_mod, "Broker", FakeBroker)
+    monkeypatch.setattr(time, "sleep", interrupt)
+    cache_dir = str(tmp_path / "broker")
+    assert main(["serve", "--port", "0", "--cache-dir", cache_dir]) == 0
+    assert made["cache_dir"] == cache_dir and made["stopped"]
+    assert f"durable state in {cache_dir}" in capsys.readouterr().out
+

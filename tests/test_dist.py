@@ -29,6 +29,7 @@ from repro.dist import (
     parse_address,
 )
 from repro.dist.protocol import dial
+from repro.dist.scheduler import Scheduler
 from repro.engine import ProofEngine
 from repro.engine.obligation import ProofObligation, solve_obligation
 from repro.errors import DistError
@@ -541,8 +542,7 @@ def test_crashing_solve_reports_structured_failure_and_poisons():
     # structured failure report; the worker survives, and after
     # max_attempts the broker quarantines the obligation with the
     # reports' exception type and traceback attached.
-    broker = Broker(port=0, heartbeat_timeout=10.0, max_attempts=2,
-                    poison_threshold=1).start()
+    broker = Broker(port=0, heartbeat_timeout=10.0, max_attempts=2).start()
     worker = None
     client = None
     try:
@@ -620,62 +620,84 @@ def test_methodology_survives_worker_kill_mid_run(broker):
 # ----------------------------------------------------------------------
 # Gossip backlog management
 # ----------------------------------------------------------------------
-def test_gossip_backlog_pages_and_trims():
-    from repro.dist import broker as broker_mod
+class _FakeConn:
+    """Records the frames a scheduler sends to a peer."""
 
-    instance = Broker(port=0)
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+def _entry(seq, fingerprint):
+    return {"seq": seq, "fingerprint": fingerprint,
+            "obligation": {"name": fingerprint}}
+
+
+def _unsat(fingerprint):
+    return {"status": "unsat", "obligation": fingerprint,
+            "fingerprint": fingerprint, "model": None, "nvars": 0,
+            "runtime_s": 0.0, "stats": {}}
+
+
+def test_gossip_backlog_pages_and_trims():
+    from repro.dist import scheduler as scheduler_mod
+
+    sched = Scheduler()
+    stale = sched.register("s", "s", _FakeConn())
+    total = scheduler_mod._GOSSIP_KEEP + 100
+
+    def memoize(i):
+        sched.complete("s", {"batch_id": "gone", "seq": 0,
+                             "verdict": _unsat(f"fp{i}")})
+
+    for i in range(3):
+        memoize(i)
+    assert [entry["fingerprint"] for entry in
+            sched.dispatch("s")["gossip"]] == ["fp0", "fp1", "fp2"]
+    assert stale.gossip_pos == 3
     # Simulate a long-lived broker: more backlog than the retention cap.
-    total = broker_mod._GOSSIP_KEEP + 100
-    for i in range(total):
-        instance._gossip.append((f"fp{i}", {"status": "unsat"}))
-        overflow = len(instance._gossip) - broker_mod._GOSSIP_KEEP
-        if overflow > 0:
-            del instance._gossip[:overflow]
-            instance._gossip_base += overflow
-    assert len(instance._gossip) == broker_mod._GOSSIP_KEEP
-    assert instance._gossip_base == 100
-    worker = broker_mod._Worker("w", "w", conn=None)
+    for i in range(3, total):
+        memoize(i)
+    assert len(sched.gossip) == scheduler_mod._GOSSIP_KEEP
+    assert sched.gossip_base == 100
+    sched.register("w", "w", _FakeConn())
     # A fresh worker pages through the retained backlog, one bounded
     # chunk per pull, never one giant frame.
     seen = []
     while True:
-        page = instance._gossip_page(worker)
+        page = sched.dispatch("w")["gossip"]
         if not page:
             break
-        assert len(page) <= broker_mod._GOSSIP_PAGE
+        assert len(page) <= scheduler_mod._GOSSIP_PAGE
         seen.extend(entry["fingerprint"] for entry in page)
     assert seen[0] == "fp100"          # trimmed entries are gone
     assert seen[-1] == f"fp{total - 1}"
-    assert len(seen) == broker_mod._GOSSIP_KEEP
+    assert len(seen) == scheduler_mod._GOSSIP_KEEP
     # A worker whose position predates the trim resumes at the base.
-    stale = broker_mod._Worker("s", "s", conn=None)
-    stale.gossip_pos = 3
-    first = instance._gossip_page(stale)
+    first = sched.dispatch("s")["gossip"]
     assert first[0]["fingerprint"] == "fp100"
 
 
 def test_dispatch_refuses_work_for_evicted_worker():
     """A pull racing the heartbeat sweep must not strand the job on an
     unregistered worker's inflight set (which nothing would requeue)."""
-    from repro.dist import broker as broker_mod
-
-    instance = Broker(port=0)
-    ghost = broker_mod._Worker("worker-ghost", "ghost", conn=None)
-    batch = broker_mod._Batch("b1", conn=None)
-    job = broker_mod._Job("b1", 0, {"name": "j"}, "fp")
-    batch.jobs[0] = job
-    instance._batches["b1"] = batch
-    instance._queue.append(job)
-    # ghost was never (or is no longer) in instance._workers: evicted.
-    reply = instance._dispatch(ghost)
+    sched = Scheduler()
+    assert sched.submit(_FakeConn(), "b1", [_entry(0, "fp")]) is None
+    ghost = sched.register("worker-ghost", "ghost", _FakeConn())
+    sched.evict("worker-ghost", "stale heartbeat")
+    # ghost is no longer registered: evicted.
+    reply = sched.dispatch("worker-ghost")
     assert reply["type"] == "idle"
     assert not ghost.inflight
-    assert list(instance._queue) == [job]  # still dispatchable
+    assert [(job.batch_id, job.seq) for job in sched.queue] == \
+        [("b1", 0)]                      # still dispatchable
     # Once registered, the same pull hands the job out normally.
-    instance._workers["worker-ghost"] = ghost
-    reply = instance._dispatch(ghost)
+    ghost = sched.register("worker-ghost", "ghost", _FakeConn())
+    reply = sched.dispatch("worker-ghost")
     assert reply["type"] == "job" and reply["seq"] == 0
-    assert (("b1", 0) in ghost.inflight)
+    assert ("b1", 0) in ghost.inflight
 
 
 def test_dial_times_out_on_silent_peer():
@@ -718,49 +740,33 @@ def test_evicted_batch_retires_after_giving_up():
     """A job that burns its last worker must retire its finished batch:
     the old path marked the job done but never popped the batch, leaking
     its obligation payloads until the client disconnected."""
-    from repro.dist import broker as broker_mod
-
-    instance = Broker(port=0, max_attempts=1)
-    doomed = broker_mod._Worker("w1", "w1", conn=None)
-    batch = broker_mod._Batch("b1", conn=None)
-    job = broker_mod._Job("b1", 0, {"name": "j"}, "fp")
-    job.attempts = 1
-    job.worker = "w1"
-    batch.jobs[0] = job
-    instance._batches["b1"] = batch
-    instance._workers["w1"] = doomed
-    doomed.inflight.add(("b1", 0))
-    instance._evict_worker("w1", "disconnected")
-    assert job.done
-    assert "b1" not in instance._batches   # retired, not leaked
+    sched = Scheduler(max_attempts=1)
+    client = _FakeConn()
+    sched.submit(client, "b1", [_entry(0, "fp")])
+    sched.register("w1", "w1", _FakeConn())
+    assert sched.dispatch("w1")["type"] == "job"
+    sched.evict("w1", "disconnected")
+    assert [m["verdict"]["status"] for m in client.sent] == ["poisoned"]
+    assert "b1" not in sched.batches   # retired, not leaked
 
 
 def test_dispatch_answers_memoized_queue_entries():
     """A queued job whose fingerprint got memoized (a duplicate across
     concurrent batches) must be answered from the memo at dispatch time,
     not burn a worker on a re-solve."""
-    from repro.dist import broker as broker_mod
-
-    instance = Broker(port=0)
-    memo = {"status": "unsat", "obligation": "j", "fingerprint": "fp",
-            "model": None, "nvars": 0, "runtime_s": 0.0, "stats": {}}
-    instance._verdicts["fp"] = memo
-    delivered = []
-    batch = broker_mod._Batch("b1", conn=None,
-                              deliver=lambda seq, verdict, error:
-                              delivered.append((seq, verdict, error)))
-    job = broker_mod._Job("b1", 0, {"name": "j"}, "fp")
-    batch.jobs[0] = job
-    instance._batches["b1"] = batch
-    instance._queue.append(job)
-    puller = broker_mod._Worker("w1", "w1", conn=None)
-    instance._workers["w1"] = puller
-    reply = instance._dispatch(puller)
+    sched = Scheduler()
+    client = _FakeConn()
+    sched.submit(client, "b1", [_entry(0, "fp")])
+    puller = sched.register("w1", "w1", _FakeConn())
+    # Another batch's copy of the obligation comes back solved.
+    memo = _unsat("fp")
+    sched.complete("w1", {"batch_id": "b0", "seq": 0, "verdict": memo})
+    reply = sched.dispatch("w1")
     assert reply["type"] == "idle"         # nothing left to solve
     assert not puller.inflight
-    assert delivered == [(0, memo, None)]
-    assert job.done
-    assert "b1" not in instance._batches   # batch completed via memo
+    assert client.sent == [{"type": "verdict", "batch_id": "b1",
+                            "seq": 0, "verdict": memo}]
+    assert "b1" not in sched.batches       # batch completed via memo
 
 
 def test_flapping_broker_worker_backs_off():
@@ -857,40 +863,27 @@ def test_duplicate_live_batch_id_rejected(broker):
 def test_snapshot_queue_depth_skips_dead_batches():
     """Queue entries of cancelled/dropped batches drain lazily; the
     snapshot must not count them as pending work."""
-    from repro.dist import broker as broker_mod
-
-    instance = Broker(port=0)
+    sched = Scheduler()
     for batch_id in ("live", "dead"):
-        batch = broker_mod._Batch(batch_id, conn=None)
-        for seq in range(3):
-            job = broker_mod._Job(batch_id, seq, {"name": "j"},
-                                  f"fp-{batch_id}-{seq}")
-            batch.jobs[seq] = job
-            instance._batches[batch_id] = batch
-            instance._queue.append(job)
-    instance._cancel("dead")
-    assert len(instance._queue) == 6       # stale entries still queued
-    assert instance.snapshot()["queued"] == 3   # but not reported
+        sched.submit(_FakeConn(), batch_id,
+                     [_entry(seq, f"fp-{batch_id}-{seq}")
+                      for seq in range(3)])
+    sched.cancel("dead")
+    assert len(sched.queue) == 6           # stale entries still queued
+    assert sched.snapshot()["queued"] == 3   # but not reported
 
 
 def test_priority_batches_dispatch_first():
     """Higher-priority batches dispatch before earlier-submitted lower
     ones; within a priority level, submission order (FIFO)."""
-    from repro.dist import broker as broker_mod
-
-    instance = Broker(port=0)
-    order = []
+    sched = Scheduler()
     for batch_id, priority in (("bg1", 0), ("fg", 5), ("bg2", 0)):
-        batch = broker_mod._Batch(batch_id, conn=None, priority=priority)
-        job = broker_mod._Job(batch_id, 0, {"name": batch_id},
-                              f"fp-{batch_id}", priority=priority)
-        batch.jobs[0] = job
-        instance._batches[batch_id] = batch
-        instance._queue.append(job)
-    puller = broker_mod._Worker("w1", "w1", conn=None)
-    instance._workers["w1"] = puller
+        sched.submit(_FakeConn(), batch_id, [_entry(0, f"fp-{batch_id}")],
+                     priority=priority)
+    sched.register("w1", "w1", _FakeConn())
+    order = []
     for _ in range(3):
-        reply = instance._dispatch(puller)
+        reply = sched.dispatch("w1")
         assert reply["type"] == "job"
         order.append(reply["batch_id"])
     assert order == ["fg", "bg1", "bg2"]
@@ -1115,6 +1108,47 @@ def test_http_job_lifecycle(tmp_path):
         process.terminate()
         process.join(timeout=5)
         instance.stop()
+
+
+def test_graceful_stop_leaves_http_job_to_resume(tmp_path):
+    """A graceful stop is not a job failure: an unfinished job keeps its
+    journaled state, and the broker restarted on the same directory
+    reruns it to the same answer as a local engine."""
+    store = str(tmp_path / "store")
+    first = Broker(port=0, http_port=0, cache_dir=store).start()
+    try:
+        status, reply = _http(
+            "POST", f"http://127.0.0.1:{first.http_port}/jobs",
+            {"kind": "check", "variant": "secure", "k": 1})
+        assert status == 202
+        job_id = reply["id"]
+        # No workers: the job's obligations sit in the queue.
+        assert _wait_for(lambda: first.snapshot()["queued"] >= 1,
+                         timeout=120)
+    finally:
+        first.stop()
+    second = Broker(port=0, http_port=0, cache_dir=store).start()
+    base = f"http://127.0.0.1:{second.http_port}"
+    process = _spawn_worker(second.address)
+    try:
+        def finished():
+            return _http("GET", f"{base}/jobs/{job_id}")[1]["status"] \
+                in ("done", "failed")
+
+        assert _wait_for(finished, timeout=300)
+        status, result = _http("GET", f"{base}/jobs/{job_id}/result")
+        assert status == 200, result
+        from repro.core import UpecChecker, UpecModel
+
+        soc = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
+        oracle = UpecChecker(UpecModel(soc, SCENARIO),
+                             engine=ProofEngine()).check(k=1).to_dict()
+        for key in ("status", "k", "alert", "checked_frames"):
+            assert result["result"][key] == oracle[key], key
+    finally:
+        process.terminate()
+        process.join(timeout=5)
+        second.stop()
 
 
 def test_http_rejects_bad_requests():
