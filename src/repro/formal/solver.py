@@ -11,6 +11,29 @@ the negative phase of variable ``v``.  Clauses are plain Python lists; watch
 lists and reasons reference clause objects directly (cheap identity-based
 bookkeeping keeps the Python interpreter overhead down — this solver spends
 its life in ``_propagate``).
+
+Values are kept per literal, as in MiniSat: ``_value[lit]`` is 1 (true),
+0 (false) or -1 (unassigned), and assigning or unassigning a variable
+writes both of its literals, so a watch test is one list read.  The model
+of a SAT answer is ``_value[::2]``, the values of the positive literals.
+
+The VSIDS order is a ``heapq`` of ``(-activity, var)`` entries whose
+validity is decided when an entry is popped: it counts only if the
+variable is unassigned and the key still equals its activity.  That test
+decides the search, so it must not change.  In particular, a rescale of
+all activities (past 1e100) turns the entries of unassigned variables
+with non-zero activity stale, and those variables stay out of the order
+until they are next unassigned; re-queueing them would be a different
+(and not clearly better) search.
+
+The queue holds at most one entry per variable and key.
+``_queued[var]`` is the key of the variable's newest unpopped entry
+(-1.0 for none), and a pop that removes that entry clears it.  Conflict
+analysis bumps activities without pushing, since it only bumps assigned
+variables, and ``_backtrack`` pushes each variable it unassigns unless
+its current key is already queued.  A pop can therefore return exactly
+the variables that one push per bump and per unassignment would offer,
+so every decision is the same, for a fraction of the heap traffic.
 """
 
 from __future__ import annotations
@@ -22,6 +45,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from repro.errors import FormalError
 
 _UNASSIGNED = -1
+#: ``_queued`` entry of a variable with no unpopped order entry.
+_NOT_QUEUED = -1.0
 
 #: How many conflicts pass between two ``cancel_check`` polls.  The
 #: callback crosses a thread boundary (a worker's receiver thread sets
@@ -74,7 +99,7 @@ class CdclSolver:
         self._learnt_lbd: Dict[int, int] = {}    # id(clause) -> glue level
         self._learnt_set: Dict[int, List[int]] = {}
         self._watches: List[List[List[int]]] = [[], []]  # lit -> clauses
-        self._assign: List[int] = [_UNASSIGNED]
+        self._value: List[int] = [_UNASSIGNED, _UNASSIGNED]  # lit -> value
         self._level: List[int] = [0]
         self._reason: List[Optional[List[int]]] = [None]
         self._polarity: List[bool] = [False]
@@ -87,6 +112,7 @@ class CdclSolver:
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._order: List[tuple] = []  # max-heap via negated activities
+        self._queued: List[float] = [_NOT_QUEUED]  # var -> newest key
         self._ok = True
         self._model: List[int] = []
         self.stats = Stats()
@@ -100,13 +126,15 @@ class CdclSolver:
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its (positive) DIMACS index."""
         self.nvars += 1
-        self._assign.append(_UNASSIGNED)
+        self._value.append(_UNASSIGNED)
+        self._value.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._polarity.append(False)
         self._activity.append(0.0)
         self._watches.append([])
         self._watches.append([])
+        self._queued.append(0.0)
         heapq.heappush(self._order, (0.0, self.nvars))
         return self.nvars
 
@@ -129,7 +157,7 @@ class CdclSolver:
         self._backtrack(0)
         seen: Dict[int, int] = {}
         clause: List[int] = []
-        assign = self._assign
+        values = self._value
         level = self._level
         for lit in lits:
             internal = self._to_internal(lit)
@@ -140,9 +168,9 @@ class CdclSolver:
                     return True  # tautology: x | ~x
                 continue
             seen[var] = phase
-            value = assign[var]
+            value = values[internal]
             if value != _UNASSIGNED and level[var] == 0:
-                if value == (phase ^ 1):
+                if value == 1:
                     return True  # already satisfied at top level
                 continue  # already falsified at top level
             clause.append(internal)
@@ -171,19 +199,14 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # Assignment primitives
     # ------------------------------------------------------------------
-    def _lit_value(self, lit: int) -> int:
-        """1 true, 0 false, -1 unassigned."""
-        value = self._assign[lit >> 1]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value ^ (lit & 1)
-
     def _enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
-        var = lit >> 1
-        value = self._assign[var]
+        values = self._value
+        value = values[lit]
         if value != _UNASSIGNED:
-            return value == ((lit & 1) ^ 1)
-        self._assign[var] = (lit & 1) ^ 1
+            return value == 1
+        values[lit] = 1
+        values[lit ^ 1] = 0
+        var = lit >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -193,72 +216,67 @@ class CdclSolver:
         """Unit propagation; returns a conflicting clause or None."""
         trail = self._trail
         watches = self._watches
-        assign = self._assign
+        values = self._value
         level = self._level
         reason = self._reason
-        trail_lim_len = len  # local binding
-        while self._qhead < len(trail):
-            lit = trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            watch_list = watches[lit]
+        decision_level = len(self._trail_lim)
+        qhead = start = self._qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            watch_list = iter(watches[lit])
             watches[lit] = keep = []
             false_lit = lit ^ 1
-            i = 0
-            n = len(watch_list)
-            while i < n:
-                clause = watch_list[i]
-                i += 1
+            for clause in watch_list:
                 if clause[0] == false_lit:
                     clause[0] = clause[1]
                     clause[1] = false_lit
                 first = clause[0]
-                fvar = first >> 1
-                fval = assign[fvar]
-                if fval != _UNASSIGNED and (fval ^ (first & 1)) == 1:
+                fval = values[first]
+                if fval == 1:
                     keep.append(clause)
                     continue
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    value = assign[other >> 1]
-                    if value == _UNASSIGNED or (value ^ (other & 1)) == 1:
+                    if values[other]:  # true or unassigned: watch it
                         clause[1] = other
                         clause[k] = false_lit
                         watches[other ^ 1].append(clause)
-                        found = True
                         break
-                if found:
-                    continue
-                keep.append(clause)
-                if fval == _UNASSIGNED:
-                    assign[fvar] = (first & 1) ^ 1
-                    level[fvar] = len(self._trail_lim)
-                    reason[fvar] = clause
-                    trail.append(first)
                 else:
-                    # Conflict: restore the remaining watches and report.
-                    keep.extend(watch_list[i:])
-                    self._qhead = len(trail)
-                    return clause
+                    keep.append(clause)
+                    if fval == _UNASSIGNED:
+                        values[first] = 1
+                        values[first ^ 1] = 0
+                        var = first >> 1
+                        level[var] = decision_level
+                        reason[var] = clause
+                        trail.append(first)
+                    else:
+                        # Conflict: restore the remaining watches and report.
+                        keep.extend(watch_list)
+                        self.stats.propagations += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     # ------------------------------------------------------------------
     # Conflict analysis
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
+    def _rescale_activity(self) -> None:
+        """Scale every activity and the bump increment by 1e-100; the
+        order's entries of unassigned variables go stale (see the module
+        docstring)."""
         activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > 1e100:
-            for v in range(1, self.nvars + 1):
-                activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._order, (-activity[var], var))
+        for v in range(1, self.nvars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, clause: List[int]) -> None:
+        """Bump a learnt clause (callers skip problem clauses)."""
         key = id(clause)
-        if key not in self._learnt_act:
-            return
         self._learnt_act[key] += self._cla_inc
         if self._learnt_act[key] > 1e20:
             for k in self._learnt_act:
@@ -281,24 +299,35 @@ class CdclSolver:
         counter = 0
         lit = -1
         clause: Optional[List[int]] = conflict
-        index = len(self._trail) - 1
+        trail = self._trail
+        index = len(trail) - 1
         current_level = len(self._trail_lim)
         levels = self._level
+        activity = self._activity
+        var_inc = self._var_inc
+        learnt_act = self._learnt_act
         while True:
             assert clause is not None, "reason missing during conflict analysis"
-            self._bump_clause(clause)
-            for q in (clause if lit == -1 else clause[1:]):
+            if id(clause) in learnt_act:
+                self._bump_clause(clause)
+            lits = iter(clause)
+            if lit != -1:
+                next(lits)  # a reason's first literal is the one it implied
+            for q in lits:
                 var = q >> 1
                 if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
+                    activity[var] += var_inc
+                    if activity[var] > 1e100:
+                        self._rescale_activity()
+                        var_inc = self._var_inc
                     if levels[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            lit = self._trail[index]
+            lit = trail[index]
             index -= 1
             var = lit >> 1
             seen[var] = 0
@@ -338,18 +367,22 @@ class CdclSolver:
         if len(self._trail_lim) <= target_level:
             return
         bound = self._trail_lim[target_level]
-        assign = self._assign
+        values = self._value
         polarity = self._polarity
         reason = self._reason
         push = heapq.heappush
         order = self._order
         activity = self._activity
+        queued = self._queued
         for lit in reversed(self._trail[bound:]):
             var = lit >> 1
-            polarity[var] = bool(assign[var])
-            assign[var] = _UNASSIGNED
+            polarity[var] = not lit & 1
+            values[lit] = values[lit ^ 1] = _UNASSIGNED
             reason[var] = None
-            push(order, (-activity[var], var))
+            act = activity[var]
+            if queued[var] != act:
+                queued[var] = act
+                push(order, (-act, var))
         del self._trail[bound:]
         del self._trail_lim[target_level:]
         self._qhead = len(self._trail)
@@ -412,14 +445,19 @@ class CdclSolver:
     # ------------------------------------------------------------------
     def _decide(self) -> Optional[int]:
         order = self._order
-        assign = self._assign
+        values = self._value
         activity = self._activity
+        queued = self._queued
+        pop = heapq.heappop
         while order:
-            neg_act, var = heapq.heappop(order)
-            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
+            neg_act, var = pop(order)
+            key = -neg_act
+            if queued[var] == key:
+                queued[var] = _NOT_QUEUED
+            if values[2 * var] == _UNASSIGNED and key == activity[var]:
                 return 2 * var + (0 if self._polarity[var] else 1)
         for var in range(1, self.nvars + 1):
-            if assign[var] == _UNASSIGNED:
+            if values[2 * var] == _UNASSIGNED:
                 return 2 * var + (0 if self._polarity[var] else 1)
         return None
 
@@ -431,13 +469,17 @@ class CdclSolver:
         restart, so the trail prefix up to the first out-scored decision
         is kept instead of being rebuilt by propagation."""
         order = self._order
-        assign = self._assign
+        values = self._value
         activity = self._activity
+        queued = self._queued
         while order:
             neg_act, var = order[0]
-            if assign[var] == _UNASSIGNED and -neg_act == activity[var]:
+            key = -neg_act
+            if values[2 * var] == _UNASSIGNED and key == activity[var]:
                 break
             heapq.heappop(order)
+            if queued[var] == key:
+                queued[var] = _NOT_QUEUED
         if not order:
             return base
         best = -order[0][0]
@@ -482,6 +524,7 @@ class CdclSolver:
         distinguishable *timeout* instead of a generic unknown.
         """
         self.stop_reason: Optional[str] = None
+        self._model = []
         if not self._ok:
             return False
         self._backtrack(0)
@@ -559,7 +602,7 @@ class CdclSolver:
             for i, lit in enumerate(internal_assumptions):
                 if len(self._trail_lim) > i:
                     continue
-                value = self._lit_value(lit)
+                value = self._value[lit]
                 if value == 0:
                     return False  # assumption falsified by the formula
                 self._trail_lim.append(len(self._trail))
@@ -571,7 +614,7 @@ class CdclSolver:
                 continue
             decision = self._decide()
             if decision is None:
-                self._model = list(self._assign)
+                self._model = self._value[::2]
                 return True
             self.stats.decisions += 1
             self._trail_lim.append(len(self._trail))

@@ -1,13 +1,20 @@
 """Unit and property tests for the CDCL SAT solver."""
 
+import hashlib
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormalError
+from repro.formal.preprocess import SimplifyingSolver
 from repro.formal.solver import CdclSolver, luby_sequence
+
+#: ``REPRO_FUZZ_SCALE`` multiplies the property tests' example counts
+#: (CI's nightly differential leg turns it up).
+FUZZ_SCALE = max(1, int(os.environ.get("REPRO_FUZZ_SCALE", "1")))
 
 
 def brute_force_sat(nvars, clauses):
@@ -31,6 +38,20 @@ def make_solver(nvars, clauses):
         solver.new_var()
     solver.add_clauses(clauses)
     return solver
+
+
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes): variable ``i * holes + j + 1`` puts pigeon
+    ``i`` in hole ``j``; unsatisfiable when pigeons > holes."""
+    def var(i, j):
+        return i * holes + j + 1
+
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                clauses.append([-var(a, j), -var(b, j)])
+    return pigeons * holes, clauses
 
 
 def check_model(solver, clauses):
@@ -91,29 +112,12 @@ def test_unit_propagation_chain():
 
 def test_pigeonhole_3_into_2_unsat():
     """PHP(3,2): 3 pigeons into 2 holes — classic small UNSAT instance."""
-    # var p_{i,j} = pigeon i in hole j ; i in 0..2, j in 0..1
-    def var(i, j):
-        return i * 2 + j + 1
-
-    clauses = [[var(i, 0), var(i, 1)] for i in range(3)]
-    for j in range(2):
-        for i1 in range(3):
-            for i2 in range(i1 + 1, 3):
-                clauses.append([-var(i1, j), -var(i2, j)])
-    solver = make_solver(6, clauses)
+    solver = make_solver(*pigeonhole(3, 2))
     assert solver.solve() is False
 
 
 def test_pigeonhole_4_into_3_unsat():
-    def var(i, j):
-        return i * 3 + j + 1
-
-    clauses = [[var(i, j) for j in range(3)] for i in range(4)]
-    for j in range(3):
-        for i1 in range(4):
-            for i2 in range(i1 + 1, 4):
-                clauses.append([-var(i1, j), -var(i2, j)])
-    solver = make_solver(12, clauses)
+    solver = make_solver(*pigeonhole(4, 3))
     assert solver.solve() is False
     assert solver.stats.conflicts > 0
 
@@ -155,6 +159,19 @@ def test_model_requires_sat():
         solver.model_value(1)
 
 
+@pytest.mark.parametrize("factory", [CdclSolver, SimplifyingSolver])
+def test_model_cleared_by_a_non_sat_answer(factory):
+    solver = factory()
+    for _ in range(2):
+        solver.new_var()
+    solver.add_clause([1, 2])
+    assert solver.solve() is True
+    assert solver.solve(assumptions=[-1, -2]) is False
+    # The earlier model violates the assumptions just refuted.
+    with pytest.raises(FormalError):
+        solver.model_value(1)
+
+
 def test_model_vector():
     solver = make_solver(2, [[1], [-2]])
     assert solver.solve() is True
@@ -164,15 +181,7 @@ def test_model_vector():
 
 def test_conflict_limit_returns_none():
     # PHP(5,4) takes enough conflicts to hit a tiny limit.
-    def var(i, j):
-        return i * 4 + j + 1
-
-    clauses = [[var(i, j) for j in range(4)] for i in range(5)]
-    for j in range(4):
-        for i1 in range(5):
-            for i2 in range(i1 + 1, 5):
-                clauses.append([-var(i1, j), -var(i2, j)])
-    solver = make_solver(20, clauses)
+    solver = make_solver(*pigeonhole(5, 4))
     result = solver.solve(conflict_limit=2)
     assert result is None
     # And it can still finish the proof afterwards.
@@ -199,7 +208,7 @@ def random_cnf(draw):
     return nvars, clauses
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150 * FUZZ_SCALE, deadline=None)
 @given(random_cnf())
 def test_solver_agrees_with_brute_force(problem):
     nvars, clauses = problem
@@ -210,7 +219,7 @@ def test_solver_agrees_with_brute_force(problem):
         check_model(solver, clauses)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * FUZZ_SCALE, deadline=None)
 @given(random_cnf(), st.lists(st.integers(min_value=1, max_value=4), max_size=3))
 def test_solver_assumptions_agree_with_brute_force(problem, assumed_vars):
     nvars, clauses = problem
@@ -224,7 +233,7 @@ def test_solver_assumptions_agree_with_brute_force(problem, assumed_vars):
             assert solver.model_value(a)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * FUZZ_SCALE, deadline=None)
 @given(random_cnf())
 def test_solver_stable_across_repeat_solves(problem):
     nvars, clauses = problem
@@ -238,17 +247,7 @@ def test_cancel_check_aborts_search():
 
     # PHP(8,7): thousands of conflicts to refute, so the poll (every
     # CANCEL_CHECK_EVERY conflicts) is guaranteed to fire.
-    holes = 7
-
-    def var(i, j):
-        return i * holes + j + 1
-
-    clauses = [[var(i, j) for j in range(holes)] for i in range(8)]
-    for j in range(holes):
-        for i1 in range(8):
-            for i2 in range(i1 + 1, 8):
-                clauses.append([-var(i1, j), -var(i2, j)])
-    solver = make_solver(8 * holes, clauses)
+    solver = make_solver(*pigeonhole(8, 7))
     assert solver.solve(cancel_check=lambda: True) is None
     # The abort happens at the first poll, not after the full refutation.
     assert solver.stats.conflicts <= 2 * CANCEL_CHECK_EVERY
@@ -261,3 +260,58 @@ def test_cancel_check_false_does_not_change_verdicts():
     assert solver.solve(cancel_check=lambda: False) is True
     unsat = make_solver(1, [[1], [-1]])
     assert unsat.solve(cancel_check=lambda: False) is False
+
+
+# ----------------------------------------------------------------------
+# Search trajectory
+# ----------------------------------------------------------------------
+def lcg_3sat(n, seed):
+    """Random 3-SAT at clause/variable ratio 4.26 from a 64-bit LCG, so
+    the formula is the same on every Python version."""
+    x = seed
+
+    def draw():
+        nonlocal x
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        return x >> 33
+
+    clauses = []
+    for _ in range(int(4.26 * n)):
+        variables = []
+        while len(variables) < 3:
+            var = draw() % n + 1
+            if var not in variables:
+                variables.append(var)
+        clauses.append([var if draw() & 1 else -var for var in variables])
+    return n, clauses
+
+
+STAT_FIELDS = ("conflicts", "decisions", "propagations", "restarts",
+               "learnt_deleted", "glue_learnts", "trail_reuses")
+
+
+@pytest.mark.parametrize("formula, expected, stats, model_hash", [
+    pytest.param(pigeonhole(8, 7), False,
+                 (3358, 4010, 42617, 16, 996, 17, 9), None, id="php-8-7"),
+    pytest.param(lcg_3sat(175, 3), False,
+                 (7523, 8866, 262800, 30, 3985, 101, 25), None,
+                 id="lcg-175-seed3"),
+    pytest.param(lcg_3sat(200, 4), True,
+                 (7169, 8587, 275269, 30, 3975, 37, 26), "6fdc5841ad658af3",
+                 id="lcg-200-seed4"),
+])
+def test_search_trajectory_is_pinned(formula, expected, stats, model_hash):
+    """Exact search counts, and the exact SAT model, on formulas that
+    exercise learnt-clause deletion (PHP) and the 1e100 activity rescale
+    (both LCG formulas).  A change to the solver's internals that keeps
+    every decision, propagation, conflict, learnt clause, restart and
+    deletion in the same order keeps these numbers; a heuristic change
+    moves them and has to say so."""
+    nvars, clauses = formula
+    solver = make_solver(nvars, clauses)
+    assert solver.solve() is expected
+    assert solver.stats.as_dict() == dict(zip(STAT_FIELDS, stats))
+    if expected:
+        check_model(solver, clauses)
+        digest = hashlib.sha256(bytes(solver.model())).hexdigest()[:16]
+        assert digest == model_hash
