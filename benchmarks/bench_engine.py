@@ -215,43 +215,6 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
 
 
 # ----------------------------------------------------------------------
-# Obligation slicing: export cost and shipped bytes, sliced vs. unsliced
-# ----------------------------------------------------------------------
-@pytest.mark.benchmark(group="slice")
-@pytest.mark.parametrize("sliced", [False, True],
-                         ids=["unsliced", "sliced"])
-def test_obligation_export_cost(benchmark, sliced):
-    """Export the Tab.-I methodology workload's proof obligations (all
-    window frames at the full commitment, then a refinement-style subset
-    commitment — the shape the Fig.-5 loop produces) and report the
-    wall-clock export cost plus the pickled obligation bytes a worker
-    pool or cache would actually ship."""
-    import pickle
-
-    from repro.core import UpecModel, UpecScenario
-    from repro.soc.config import FORMAL_CONFIG_KWARGS
-
-    soc = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
-    model = UpecModel(soc, UpecScenario(secret_in_cache=True))
-    regs = model.default_commitment()
-    # Emit every cone once so rounds measure pure snapshot/slice cost,
-    # not first-time Tseitin emission.
-    for t in (1, 2):
-        model.frame_obligation(regs, t, slice=sliced)
-    model.frame_obligation(regs[: len(regs) // 2], 2, slice=sliced)
-
-    def run():
-        obs = [model.frame_obligation(regs, t, slice=sliced)
-               for t in (1, 2)]
-        obs.append(model.frame_obligation(regs[: len(regs) // 2], 2,
-                                          slice=sliced))
-        return sum(len(pickle.dumps(ob)) for ob in obs if ob is not None)
-
-    exported_bytes = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["exported_bytes"] = exported_bytes
-
-
-# ----------------------------------------------------------------------
 # Obligation engine: sweep throughput vs. worker count
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="sweep")

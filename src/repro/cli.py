@@ -16,16 +16,14 @@ The solver-backed commands (``check``, ``methodology``, ``sweep``)
 uniformly accept:
 
 ``--no-preprocess``   disable the SatELite-style CNF pre-/inprocessor
-``--no-slice``        export whole-context proof obligations instead of
-                      cone-of-influence slices
 ``--stats``           print solver / simplifier / engine counters
                       (including slice reduction ratios)
 ``--json``            machine-readable result on stdout
 ``--jobs N``          solve proof obligations on N worker processes
 ``--cache-dir DIR``   persistent proof cache (re-runs skip proved
                       obligations; default: ``$REPRO_ENGINE_CACHE``)
-``--conflict-limit``  per-query conflict budget
-``--wall-budget S``   per-obligation wall-clock budget in seconds
+``--conflict-limit``  per-query conflict budget (at least 1)
+``--wall-budget S``   per-obligation wall-clock budget in seconds (> 0)
                       (exhaustion yields a distinguishable "timeout"
                       outcome instead of an open-ended solve)
 ``--connect H:P``     shard proof obligations over a running broker
@@ -39,22 +37,45 @@ them through the obligation engine.
 ``attack`` takes ``--stats`` (timing-series counters) and ``--json``
 as well; it has no SAT solver, so the solver flags do not apply.
 
-Usage errors exit with code 64: ``--jobs`` or ``--k`` below 1, a
-malformed broker address, and ``--connect`` combined with ``--jobs`` on
-``check``/``methodology`` (on ``sweep`` the two compose — ``--jobs``
-fans cells out locally while each cell's obligations shard over the
-broker).  An unreachable broker exits 69.
+Exit codes
+----------
+``0``   ``check`` proved the window; ``methodology`` (every ``sweep``
+        cell) is secure within the bound; ``attack`` observed no leak
+``1``   ``check`` found a P-alert
+``2``   ``check`` found an L-alert; ``methodology`` (any ``sweep``
+        cell) is insecure; ``attack`` recovered the secret
+``3``   inconclusive: a conflict limit, wall budget, poisoned
+        obligation or iteration cap stopped ``check``, ``methodology``
+        or a ``sweep`` cell short of a verdict (an insecure cell still
+        makes ``sweep`` exit 2)
+``64``  usage error: ``--jobs`` or ``--k`` below 1, ``--conflict-limit``
+        below 1, ``--wall-budget`` not positive, a malformed broker
+        address, and ``--connect`` combined with ``--jobs`` on
+        ``check``/``methodology`` (on ``sweep`` the two compose —
+        ``--jobs`` fans cells out locally while each cell's obligations
+        shard over the broker)
+``69``  the distributed proof service failed: an unreachable broker, a
+        rejected job, an expired ``submit --wait-timeout``
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from typing import List, Optional
 
-from repro.core import UpecChecker, UpecMethodology, UpecModel, UpecScenario
+from repro.core import (
+    INCONCLUSIVE,
+    SECURE_BOUNDED,
+    UNDECIDED,
+    UpecChecker,
+    UpecMethodology,
+    UpecModel,
+    UpecScenario,
+)
 from repro.core.report import format_kv_block, format_table
 from repro.errors import DistError, UsageError
 from repro.hdl import circuit_stats
@@ -95,9 +116,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform solver/engine flag set of every SAT-backed command."""
     parser.add_argument("--no-preprocess", action="store_true",
                         help="solve the raw Tseitin CNF (no simplification)")
-    parser.add_argument("--no-slice", action="store_true",
-                        help="export whole-context proof obligations "
-                             "instead of cone-of-influence slices")
     parser.add_argument("--conflict-limit", type=int, default=None)
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
@@ -132,6 +150,17 @@ def _validate_k(k: int) -> None:
     for a P-alert."""
     if k < 1:
         raise UsageError(f"--k must be a positive integer, got {k}")
+
+
+def _validate_budgets(args) -> None:
+    """``--wall-budget -1`` must not silently run without a budget, and
+    ``--conflict-limit 0`` must not act as a limit of one conflict."""
+    if args.conflict_limit is not None and args.conflict_limit < 1:
+        raise UsageError("--conflict-limit must be a positive integer, "
+                         f"got {args.conflict_limit}")
+    if args.wall_budget is not None and not args.wall_budget > 0:
+        raise UsageError("--wall-budget must be a positive number of "
+                         f"seconds, got {args.wall_budget}")
 
 
 def _validate_address(spec: str) -> None:
@@ -177,6 +206,12 @@ def _engine_from_args(args):
     return ProofEngine(jobs=args.jobs or 1, cache_dir=args.cache_dir)
 
 
+def _closing(engine):
+    """Close the engine (its pool, its cache's batched index) when the
+    run ends; a no-op for the in-context solver."""
+    return engine if engine is not None else contextlib.nullcontext()
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -203,15 +238,16 @@ def cmd_info(args) -> int:
 
 def cmd_check(args) -> int:
     _validate_k(args.k)
+    _validate_budgets(args)
     engine = _engine_from_args(args)
     soc = _build(args.variant, "formal")
     scenario = UpecScenario(secret_in_cache=not args.uncached)
     model = UpecModel(soc, scenario, simplify=not args.no_preprocess)
-    result = UpecChecker(model, engine=engine,
-                         slice=not args.no_slice).check(
-        k=args.k, conflict_limit=args.conflict_limit,
-        wall_budget=args.wall_budget,
-    )
+    with _closing(engine):
+        result = UpecChecker(model, engine=engine).check(
+            k=args.k, conflict_limit=args.conflict_limit,
+            wall_budget=args.wall_budget,
+        )
     human = f"scenario: {scenario.describe()}\n{result.describe()}"
     if args.stats and not args.json:
         human += "\n" + format_kv_block("solver", result.stats)
@@ -220,27 +256,30 @@ def cmd_check(args) -> int:
     _emit(args, {"scenario": scenario.describe(), **result.to_dict()}, human)
     if result.alert is not None:
         return 2 if result.alert.is_l_alert else 1
-    return 0
+    return 3 if result.status == INCONCLUSIVE else 0
 
 
 def cmd_methodology(args) -> int:
     _validate_k(args.k)
+    _validate_budgets(args)
     engine = _engine_from_args(args)
     soc = _build(args.variant, "formal")
     scenario = UpecScenario(secret_in_cache=not args.uncached)
-    result = UpecMethodology(
-        soc, scenario,
-        conflict_limit=args.conflict_limit,
-        simplify=not args.no_preprocess,
-        engine=engine,
-        slice=not args.no_slice,
-        wall_budget=args.wall_budget,
-    ).run(k=args.k)
+    with _closing(engine):
+        result = UpecMethodology(
+            soc, scenario,
+            conflict_limit=args.conflict_limit,
+            simplify=not args.no_preprocess,
+            engine=engine,
+            wall_budget=args.wall_budget,
+        ).run(k=args.k)
     human = result.describe()
     if args.stats and not args.json:
         human += "\n" + format_kv_block("solver", result.stats)
     _emit(args, result.to_dict(), human)
-    return 0 if result.verdict == "secure_bounded" else 2
+    if result.verdict == SECURE_BOUNDED:
+        return 0
+    return 3 if result.verdict == UNDECIDED else 2
 
 
 def cmd_sweep(args) -> int:
@@ -248,6 +287,7 @@ def cmd_sweep(args) -> int:
 
     _validate_jobs(args.jobs)
     _validate_k(args.k)
+    _validate_budgets(args)
     connect = _connect_from_args(args)
     if connect is not None:
         # Unlike check/methodology, --jobs composes with --connect here:
@@ -268,7 +308,6 @@ def cmd_sweep(args) -> int:
         simplify=not args.no_preprocess,
         conflict_limit=args.conflict_limit,
         cache_dir=args.cache_dir,
-        slice=not args.no_slice,
         connect=connect,
         wall_budget=args.wall_budget,
     )
@@ -284,7 +323,10 @@ def cmd_sweep(args) -> int:
             human += "\n" + format_kv_block(out.cell.label,
                                             out.result["stats"])
     _emit(args, result.to_dict(), human)
-    return 2 if result.any_insecure() else 0
+    if result.any_insecure():
+        return 2
+    undecided = any(out.verdict == UNDECIDED for out in result.outcomes)
+    return 3 if undecided else 0
 
 
 def cmd_attack(args) -> int:
@@ -425,6 +467,7 @@ def cmd_submit(args) -> int:
     import time
 
     _validate_address(args.api)
+    _validate_budgets(args)
     base = f"http://{args.api}"
     spec = {
         "kind": args.kind,

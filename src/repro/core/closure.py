@@ -106,12 +106,10 @@ class InductiveDiffProof:
         invariant: Sequence[CondEq],
         simplify: bool = True,
         engine=None,
-        slice: bool = True,
     ) -> None:
         self.soc = soc
         self.scenario = scenario
         self.simplify = simplify
-        self.slice = slice
         self.engine = engine
         self.invariant = list(invariant)
         domain = {entry.reg for entry in self.invariant}
@@ -173,7 +171,6 @@ class InductiveDiffProof:
                         "obligation": name,
                         "invariant": [e.reg.name for e in self.invariant],
                     },
-                    slice=self.slice,
                 )
             tasks.append((name, target, exported))
 

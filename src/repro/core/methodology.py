@@ -85,11 +85,12 @@ class MethodologyResult:
 class UpecMethodology:
     """Run the iterative UPEC flow on one SoC and scenario.
 
-    ``engine`` (or the ``jobs``/``cache_dir`` shorthands) routes every
-    property check through the obligation scheduler of
-    :mod:`repro.engine`: frames solve on a worker pool and verdicts are
-    re-used from the persistent proof cache across runs.  Without one,
-    the checks run on the model's incremental in-context solver.
+    ``engine`` (a :class:`repro.engine.ProofEngine`, owned and closed by
+    the caller) routes every property check through the obligation
+    scheduler of :mod:`repro.engine`: frames solve on a worker pool and
+    verdicts are re-used from the persistent proof cache across runs.
+    Without one, the checks run on the model's incremental in-context
+    solver.
     """
 
     def __init__(
@@ -99,9 +100,6 @@ class UpecMethodology:
         conflict_limit: Optional[int] = None,
         simplify: bool = True,
         engine=None,
-        jobs: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        slice: bool = True,
         wall_budget: Optional[float] = None,
     ) -> None:
         self.soc = soc
@@ -112,11 +110,6 @@ class UpecMethodology:
         #: verdict instead of an open-ended solve.
         self.wall_budget = wall_budget
         self.simplify = simplify
-        self.slice = slice
-        if engine is None and (jobs is not None or cache_dir is not None):
-            from repro.engine.pool import ProofEngine
-
-            engine = ProofEngine(jobs=jobs or 1, cache_dir=cache_dir)
         self.engine = engine
 
     def _stats(self, model: UpecModel) -> Dict[str, int]:
@@ -132,7 +125,7 @@ class UpecMethodology:
         self._engine_since = self.engine.stats() if self.engine is not None \
             else None
         model = UpecModel(self.soc, self.scenario, simplify=self.simplify)
-        checker = UpecChecker(model, engine=self.engine, slice=self.slice)
+        checker = UpecChecker(model, engine=self.engine)
         commitment: List[Reg] = model.default_commitment()
         p_alerts: List[Alert] = []
         removed: List[str] = []

@@ -231,7 +231,6 @@ class UpecModel:
         regs: Sequence[Reg],
         frame: int,
         conflict_limit: Optional[int] = None,
-        slice: bool = True,
         wall_budget: Optional[float] = None,
     ):
         """Export the frame's commitment check as a self-contained
@@ -240,12 +239,11 @@ class UpecModel:
         Returns None when structural hashing already folded every pair to
         equality (the frame is proved without a SAT call).
 
-        With slicing (the default), the obligation is the frame's cone
-        of influence only — frame-tagged window assumptions of later
-        frames, other commitments and any other unrelated growth of the
-        shared context are excluded, so the same ``(commitment, frame)``
-        query always fingerprints identically (cross-window and
-        cross-run cache hits).
+        The obligation is the frame's cone of influence only —
+        frame-tagged window assumptions of later frames, other
+        commitments and any other unrelated growth of the shared context
+        are excluded, so the same ``(commitment, frame)`` query always
+        fingerprints identically (cross-window and cross-run cache hits).
         """
         self.assume_window(frame)
         target = self.commitment_diff_lit(regs, frame)
@@ -263,7 +261,6 @@ class UpecModel:
                 "frame": frame,
                 "commitment": [reg.name for reg in regs],
             },
-            slice=slice,
             frame=frame,
         )
 

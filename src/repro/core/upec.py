@@ -89,16 +89,12 @@ class UpecChecker:
     scheduler (a worker pool or the distributed fleet keeps all siblings
     in flight at once, cancelled as soon as an earlier frame alerts) and
     verdicts may come from its persistent cache.  Both modes report the
-    lowest alerting frame, so verdicts are identical.  ``slice=False``
-    exports whole-context obligations instead of cone-of-influence
-    slices (the slicing differentials' reference).
+    lowest alerting frame, so verdicts are identical.
     """
 
-    def __init__(self, model: UpecModel, engine=None,
-                 slice: bool = True) -> None:
+    def __init__(self, model: UpecModel, engine=None) -> None:
         self.model = model
         self.engine = engine
-        self.slice = slice
 
     def check(
         self,
@@ -187,29 +183,25 @@ class UpecChecker:
 
         Frames are exported in steps, and each step's obligations go
         through the ordered scheduler.  When the engine solves
-        in-process on sliced obligations (``jobs == 1``), a step is one
-        frame: an alert at frame ``t`` means frames ``t+1..k`` are never
-        unrolled or exported.  Otherwise a step is the whole window, so
-        a pool or the fleet has every sibling in flight at once.
+        in-process (``jobs == 1``), a step is one frame: an alert at
+        frame ``t`` means frames ``t+1..k`` are never unrolled or
+        exported.  Otherwise a step is the whole window, so a pool or
+        the fleet has every sibling in flight at once.
 
-        A sliced obligation's content depends only on the commitment and
-        the frame, so both schedules produce bit-identical obligation
-        streams, hence bit-identical verdicts and counterexample models.
-        An unsliced obligation's content depends on how far the shared
-        CNF mapper grew, which is why ``slice=False`` always exports the
-        whole window up front: the jobs=1 and jobs=N streams then stay
-        identical.
+        An obligation's content depends only on the commitment and the
+        frame (it is the frame's cone-of-influence slice), so both
+        schedules produce bit-identical obligation streams, hence
+        bit-identical verdicts and counterexample models.
         """
         since = self.engine.stats()
         window = list(range(start_frame, k + 1))
-        lazy = self.engine.jobs == 1 and self.slice
-        steps = [[t] for t in window] if lazy else [window]
+        steps = [[t] for t in window] if self.engine.jobs == 1 \
+            else [window]
         checked = 0
         for frames in steps:
             exported = [
                 (t, self.model.frame_obligation(
-                    regs, t, conflict_limit, slice=self.slice,
-                    wall_budget=wall_budget,
+                    regs, t, conflict_limit, wall_budget=wall_budget,
                 ))
                 for t in frames
             ]

@@ -702,6 +702,8 @@ class Broker:
             except (TypeError, ValueError):
                 raise ValueError("conflict_limit must be an integer") \
                     from None
+            if normalized["conflict_limit"] < 1:
+                raise ValueError("conflict_limit must be positive")
         budget = spec.get("wall_budget")
         if budget is not None:
             try:
@@ -709,7 +711,7 @@ class Broker:
             except (TypeError, ValueError):
                 raise ValueError("wall_budget must be a number of seconds") \
                     from None
-            if normalized["wall_budget"] <= 0:
+            if not normalized["wall_budget"] > 0:
                 raise ValueError("wall_budget must be positive")
         job = _HttpJob(f"job-{os.urandom(6).hex()}", normalized)
         self._http_jobs[job.job_id] = job

@@ -236,9 +236,9 @@ def parse_address(spec: str) -> Tuple[str, int]:
 def obligation_to_wire(obligation: ProofObligation) -> Dict[str, Any]:
     """The shippable form of an obligation.
 
-    The slice ``remap``/``orig_nvars`` bookkeeping stays with the
-    exporting context (a worker never needs it — the verdict's packed
-    model is over the obligation's own numbering).
+    The slice ``remap`` stays with the exporting context (a worker
+    never needs it — the verdict's packed model is over the
+    obligation's own numbering).
     """
     return {
         "name": obligation.name,

@@ -1,9 +1,9 @@
 """Client-side scheduler: a drop-in pool backed by a remote broker.
 
 :class:`RemotePool` speaks the :class:`repro.engine.pool.SolverPool`
-interface (``solve_one`` / ``solve_ordered`` with ordered consumption,
-early-stop and an ``on_verdict`` observer), but ships every obligation
-to a :class:`repro.dist.broker.Broker` instead of a local process pool.
+interface (``solve_ordered`` with ordered consumption, early-stop and
+an ``on_verdict`` observer), but ships every obligation to a
+:class:`repro.dist.broker.Broker` instead of a local process pool.
 Wrapping it in a :class:`ProofEngine` gives :class:`RemoteEngine` — the
 object ``UpecChecker``, ``UpecMethodology``, ``InductiveDiffProof``,
 ``BmcEngine`` and ``ScenarioSweep`` accept as ``engine=``, so a run
@@ -162,12 +162,6 @@ class RemotePool:
                 f"{self.address[1]}: {exc}") from exc
 
     # ------------------------------------------------------------------
-    def solve_one(self, obligation: ProofObligation,
-                  cache=None) -> Verdict:
-        result = self.solve_ordered([obligation])
-        assert result[0] is not None
-        return result[0]
-
     def solve_ordered(
         self,
         obligations: Sequence[ProofObligation],

@@ -8,15 +8,15 @@ layers:
   assumptions + metadata) with :class:`Verdict` results; exported by
   :meth:`repro.formal.bmc.SatContext.export_obligation` and
   :meth:`repro.core.model.UpecModel.frame_obligation` instead of being
-  solved inline.  By default exports are cut to the query's cone of
-  influence (:mod:`repro.engine.slice`), canonically renumbered so the
-  same logical query is bit-identical — and cache-key identical — no
-  matter how the shared context grew (``slice=False`` restores
-  whole-context snapshots).
+  solved inline.  Every export is cut to the query's cone of influence
+  (:mod:`repro.engine.slice`) and canonically renumbered, so the same
+  logical query is bit-identical — and cache-key identical — no matter
+  how the shared context grew.
 * **scheduler** (:mod:`repro.engine.pool`) — :class:`SolverPool` runs
   obligation batches on a ``multiprocessing`` worker pool (in-process at
   ``jobs=1``), consuming results in submission order with early-cancel
-  of sibling obligations; :class:`ScenarioSweep`
+  of sibling obligations.  ``solve_ordered`` is the one entry point, a
+  single obligation is a batch of one.  :class:`ScenarioSweep`
   (:mod:`repro.engine.sweep`) is the coarse-grained variant that grids
   whole Tab.-I/II methodology runs over workers.
 * **cache** (:mod:`repro.engine.cache`) — :class:`ResultCache`, a

@@ -66,15 +66,14 @@ def unpack_model(data: bytes, nvars: int) -> List[bool]:
 class ProofObligation:
     """One independent SAT query, detached from the context that built it.
 
-    A *sliced* obligation (see :mod:`repro.engine.slice`) carries only
+    An exported obligation (see :mod:`repro.engine.slice`) carries only
     the cone of influence of its assumptions, renumbered canonically;
-    ``remap`` (new variable -> original context variable) and
-    ``orig_nvars`` let ``SatContext.adopt_verdict`` translate a worker's
-    model back into the exporting context's numbering (completing the
-    dropped gates by evaluation).  Neither field is part of the
-    fingerprint: re-exports of the same logical query hash identically
-    no matter how the shared context grew after the query's cone was
-    first mapped.
+    ``remap`` (new variable -> original context variable) lets
+    ``SatContext.adopt_verdict`` translate a worker's model back into
+    the exporting context's numbering (completing the dropped gates by
+    evaluation).  It is not part of the fingerprint: re-exports of the
+    same logical query hash identically no matter how the shared
+    context grew after the query's cone was first mapped.
     """
 
     name: str
@@ -91,7 +90,6 @@ class ProofObligation:
     wall_budget: Optional[float] = None
     meta: Dict[str, Any] = field(default_factory=dict)
     remap: Optional[List[int]] = None   # new var -> original var (0 unused)
-    orig_nvars: int = 0
 
     def fingerprint(self) -> str:
         """Content hash of the formula (clauses + assumptions + frozen set

@@ -78,10 +78,6 @@ class SolverPool:
         self.close()
 
     # ------------------------------------------------------------------
-    def solve_one(self, obligation: ProofObligation,
-                  cache: Optional[ResultCache] = None) -> Verdict:
-        return solve_obligation(obligation, simp_cache=cache)
-
     def solve_ordered(
         self,
         obligations: Sequence[ProofObligation],
@@ -178,20 +174,6 @@ class ProofEngine:
         for key, value in verdict.stats.items():
             self._solver_totals[key] = \
                 self._solver_totals.get(key, 0) + value
-
-    def solve(self, obligation: ProofObligation) -> Verdict:
-        """Solve one obligation (cache-aware, always in-process)."""
-        if self.cache is not None:
-            hit = self.cache.lookup(obligation)
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
-            self.cache_misses += 1
-        verdict = self.pool.solve_one(obligation, cache=self.cache)
-        self._account(verdict)
-        if self.cache is not None:
-            self.cache.store(obligation, verdict)
-        return verdict
 
     def solve_ordered(
         self,

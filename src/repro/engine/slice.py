@@ -2,16 +2,18 @@
 proof obligations.
 
 :meth:`repro.formal.bmc.SatContext.export_obligation` snapshots the
-formula a :class:`~repro.formal.bmc.ClauseLog` recorded.  Without
-slicing, that snapshot is the *entire* unrolling history: every frame,
-register and commitment the shared context ever touched rides along in
-every obligation, which inflates worker pickling cost and makes cache
-fingerprints fragile — any unrelated context growth changes the bytes.
+formula a :class:`~repro.formal.bmc.ClauseLog` recorded.  Taken whole,
+that snapshot would be the *entire* unrolling history: every frame,
+register and commitment the shared context ever touched would ride
+along in every obligation, inflating worker pickling cost and making
+cache fingerprints fragile — any unrelated context growth would change
+the bytes.
 
-The slicer cuts the snapshot down to the clauses that can actually
-influence the query.  Raw CNF has no direction (a clause mentioning a
-variable could define it or consume it), so the :class:`ClauseLog`
-records two extra facts at emission time:
+So every export goes through the slicer, which cuts the snapshot down
+to the clauses that can actually influence the query.  Raw CNF has no
+direction (a clause mentioning a variable could define it or consume
+it), so the :class:`ClauseLog` records two extra facts at emission
+time:
 
 * **definitions** — the Tseitin clauses that *define* a gate variable
   (marked by :class:`repro.formal.aig.CnfMapper` as it emits each AND

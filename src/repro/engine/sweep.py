@@ -183,8 +183,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         if payload.get("cell_type") == CELL_ALERT_WINDOW:
             model = UpecModel(soc, scenario, simplify=payload["simplify"])
-            checker = UpecChecker(model, engine=engine,
-                                  slice=payload["slice"])
+            checker = UpecChecker(model, engine=engine)
             check = checker.find_first_alert_window(
                 max_k=payload["k"],
                 conflict_limit=payload["conflict_limit"],
@@ -205,7 +204,6 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                 conflict_limit=payload["conflict_limit"],
                 simplify=payload["simplify"],
                 engine=engine,
-                slice=payload["slice"],
                 wall_budget=payload.get("wall_budget"),
             )
             result = methodology.run(
@@ -231,7 +229,6 @@ class ScenarioSweep:
         conflict_limit: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_iterations: int = 64,
-        slice: bool = True,
         connect: Optional[str] = None,
         wall_budget: Optional[float] = None,
     ) -> None:
@@ -240,7 +237,6 @@ class ScenarioSweep:
         self.conflict_limit = conflict_limit
         self.cache_dir = cache_dir
         self.max_iterations = max_iterations
-        self.slice = slice
         self.connect = connect
         self.wall_budget = wall_budget
 
@@ -316,7 +312,6 @@ class ScenarioSweep:
             "wall_budget": self.wall_budget,
             "cache_dir": self.cache_dir,
             "max_iterations": self.max_iterations,
-            "slice": self.slice,
             "connect": self.connect,
         }
 

@@ -152,18 +152,16 @@ class SatContext:
         conflict_limit: Optional[int] = None,
         wall_budget: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
-        slice: bool = True,
         frame: Optional[int] = None,
     ):
-        """Snapshot the current formula plus AIG-literal assumptions as a
+        """Snapshot the cone of influence of AIG-literal assumptions as a
         serializable :class:`repro.engine.obligation.ProofObligation`.
 
-        With slicing (the default) the obligation carries only the cone
-        of influence of the assumptions and the asserted units —
-        canonically renumbered, so its fingerprint does not depend on
-        how the shared context grew.  ``frame`` additionally drops units
-        tagged with a later frame (the UPEC per-frame window
-        assumptions).  ``slice=False`` snapshots the whole context.
+        The obligation carries only the clauses that can influence the
+        assumptions plus the asserted units — canonically renumbered, so
+        its fingerprint does not depend on how the shared context grew.
+        ``frame`` additionally drops units tagged with a later frame (the
+        UPEC per-frame window assumptions).
         """
         from repro.engine.obligation import ProofObligation
         from repro.engine.slice import slice_cnf
@@ -172,48 +170,32 @@ class SatContext:
         # clause snapshot so the obligation is self-contained.
         dimacs = [self.mapper.assumption(lit) for lit in assumptions]
         log = self.solver
+        sliced = slice_cnf(
+            clauses=log.clauses,
+            nvars=log.nvars,
+            definitions=log.definitions,
+            roots=log.roots,
+            tags=log.tags,
+            assumptions=dimacs,
+            frozen=log.frozen,
+            unit_cutoff=frame,
+        )
         totals = self._slice_totals
         totals["obligations_exported"] = \
             totals.get("obligations_exported", 0) + 1
-        if slice:
-            sliced = slice_cnf(
-                clauses=log.clauses,
-                nvars=log.nvars,
-                definitions=log.definitions,
-                roots=log.roots,
-                tags=log.tags,
-                assumptions=dimacs,
-                frozen=log.frozen,
-                unit_cutoff=frame,
-            )
-            totals["obligations_sliced"] = \
-                totals.get("obligations_sliced", 0) + 1
-            for key, value in sliced.stats().items():
-                totals[key] = totals.get(key, 0) + value
-            return ProofObligation(
-                name=name,
-                nvars=sliced.nvars,
-                clauses=sliced.clauses,
-                assumptions=sliced.assumptions,
-                frozen=sliced.frozen,
-                simplify=self.simplify,
-                conflict_limit=conflict_limit,
-                wall_budget=wall_budget,
-                meta=dict(meta or {}),
-                remap=sliced.remap,
-                orig_nvars=log.nvars,
-            )
+        for key, value in sliced.stats().items():
+            totals[key] = totals.get(key, 0) + value
         return ProofObligation(
             name=name,
-            nvars=log.nvars,
-            clauses=list(log.clauses),
-            assumptions=dimacs,
-            frozen=sorted(log.frozen),
+            nvars=sliced.nvars,
+            clauses=sliced.clauses,
+            assumptions=sliced.assumptions,
+            frozen=sliced.frozen,
             simplify=self.simplify,
             conflict_limit=conflict_limit,
             wall_budget=wall_budget,
             meta=dict(meta or {}),
-            orig_nvars=log.nvars,
+            remap=sliced.remap,
         )
 
     def adopt_model(self, model: Sequence[bool]) -> None:
@@ -221,8 +203,8 @@ class SatContext:
         self.solver.adopt_model(model)
 
     def complete_model(self, obligation, values: Sequence[bool]) -> List[bool]:
-        """Extend a (possibly sliced) obligation's model to the full
-        context formula.
+        """Extend an exported obligation's model to the full context
+        formula.
 
         Variables the slice kept take the worker's values via the remap
         (the identity when ``remap`` is None); every gate variable the
@@ -356,12 +338,10 @@ class BmcEngine:
     """
 
     def __init__(self, circuit: Circuit, init: str = "reset",
-                 simplify: bool = True, engine=None,
-                 slice: bool = True) -> None:
+                 simplify: bool = True, engine=None) -> None:
         self.circuit = circuit.finalize()
         self.context = SatContext(simplify=simplify)
         self.unroller = Unroller(circuit, self.context.aig, init=init)
-        self.slice = slice
         self.engine = engine
 
     def extract_witness(self, depth: int, failed_frame: int) -> Witness:
@@ -440,7 +420,6 @@ class BmcEngine:
                 assumptions=[bad], conflict_limit=conflict_limit,
                 meta={"kind": "bmc-frame", "circuit": self.circuit.name,
                       "frame": t, "k": k},
-                slice=self.slice,
             ))
         verdicts = self.engine.solve_ordered(
             obligations, early_stop=lambda v: not v.unsat

@@ -55,7 +55,6 @@ def prove_by_induction(
     conflict_limit: Optional[int] = None,
     simplify: bool = True,
     engine=None,
-    slice: bool = True,
 ) -> InductionResult:
     """Attempt to prove ``AG prop`` (under per-cycle assumptions) by
     k-induction.
@@ -70,7 +69,7 @@ def prove_by_induction(
 
     # Base case: BMC from reset for k cycles.
     base_engine = BmcEngine(circuit, init="reset", simplify=simplify,
-                            engine=engine, slice=slice)
+                            engine=engine)
     base = base_engine.check_always(
         prop, k=k, assumptions=assumptions, conflict_limit=conflict_limit
     )
@@ -97,9 +96,8 @@ def prove_by_induction(
             name=f"induction[{circuit.name}]@step{k}",
             assumptions=[bad], conflict_limit=conflict_limit,
             meta={"kind": "induction-step", "circuit": circuit.name, "k": k},
-            slice=slice,
         )
-        verdict = engine.solve(step_ob)
+        verdict = engine.solve_ordered([step_ob])[0]
         if verdict.sat:
             ctx.adopt_verdict(step_ob, verdict)
         outcome = True if verdict.sat else (False if verdict.unsat else None)

@@ -40,6 +40,64 @@ def test_methodology_insecure_exit_code(capsys):
     assert "insecure" in out
 
 
+# ----------------------------------------------------------------------
+# Exit 3: a check, methodology or sweep cell stopped short of a verdict
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine_flags", [[], ["--jobs", "1"]],
+                         ids=["incremental", "engine"])
+def test_check_inconclusive_exits_3(engine_flags, capsys):
+    rc = main(["check", "orc", "--k", "2", "--conflict-limit", "1"]
+              + engine_flags)
+    assert "inconclusive" in capsys.readouterr().out
+    assert rc == 3  # not 0, which means "proved"
+
+
+def test_methodology_undecided_exits_3(capsys):
+    rc = main(["methodology", "orc", "--k", "2", "--conflict-limit", "1"])
+    assert "undecided" in capsys.readouterr().out
+    assert rc == 3  # not 2, which means "insecure"
+
+
+def _sweep_verdicts(capsys, argv):
+    import json
+
+    rc = main(["sweep", "--scenarios", "cached", "--k", "1", "--json"]
+              + argv)
+    data = json.loads(capsys.readouterr().out)
+    return rc, [cell["result"]["verdict"] for cell in data["cells"]]
+
+
+def test_sweep_undecided_cell_exits_3(capsys):
+    rc, verdicts = _sweep_verdicts(
+        capsys, ["--variants", "orc", "--conflict-limit", "1"])
+    assert verdicts == ["undecided"]
+    assert rc == 3
+
+
+def test_sweep_insecure_cell_wins_over_undecided(capsys):
+    # At 150 conflicts per query the orc cell runs out of budget in its
+    # refinement loop while the meltdown cell reaches its L-alert.
+    rc, verdicts = _sweep_verdicts(
+        capsys, ["--variants", "orc,meltdown", "--conflict-limit", "150"])
+    assert verdicts == ["undecided", "insecure"]
+    assert rc == 2
+
+
+def test_check_and_methodology_close_their_engine(monkeypatch, capsys):
+    """The engine a command builds is closed when the run ends (its
+    pool, its cache's batched index), not left to the garbage
+    collector."""
+    from repro.engine import ProofEngine
+
+    closed = []
+    close = ProofEngine.close
+    monkeypatch.setattr(ProofEngine, "close",
+                        lambda self: closed.append(self) or close(self))
+    assert main(["check", "orc", "--k", "1", "--jobs", "1"]) == 1
+    assert main(["methodology", "meltdown", "--k", "1", "--jobs", "1"]) == 2
+    assert len(closed) == 2
+
+
 def test_parser_rejects_unknown_variant():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["info", "bogus"])
@@ -158,6 +216,22 @@ def test_methodology_rejects_window_below_one(capsys):
 def test_sweep_rejects_window_below_one(capsys):
     assert main(["sweep", "--variants", "secure", "--k", "0"]) == 64
     assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--wall-budget", "-1"), ("--wall-budget", "0"),
+    ("--wall-budget", "nan"), ("--conflict-limit", "0"),
+    ("--conflict-limit", "-2"),
+])
+def test_budgets_must_be_positive(flag, value, capsys):
+    """A negative wall budget must not silently run unbudgeted, nor a
+    zero conflict limit act as a limit of one conflict."""
+    for argv in (["check", "secure", "--k", "1"],
+                 ["methodology", "secure", "--k", "1"],
+                 ["sweep", "--variants", "secure", "--k", "1"],
+                 ["submit", "secure", "--api", "127.0.0.1:1"]):
+        assert main(argv + [flag, value]) == 64, argv
+        assert flag in capsys.readouterr().err
 
 
 def test_cache_env_is_the_cache_dir_default(monkeypatch):

@@ -150,7 +150,7 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
         name="wire", nvars=5, clauses=[[1, -2], [3, 4, 5]],
         assumptions=[2], frozen=[1, 3], simplify=True,
         conflict_limit=123, meta={"kind": "test", "frame": 2},
-        remap=[0, 7, 8, 9, 10, 11], orig_nvars=11,
+        remap=[0, 7, 8, 9, 10, 11],
     )
     wire = json.loads(json.dumps(obligation_to_wire(obligation)))
     back = obligation_from_wire(wire)
@@ -158,7 +158,7 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     assert back.meta == obligation.meta
     assert back.conflict_limit == 123
     # Slice bookkeeping stays client-side.
-    assert back.remap is None and back.orig_nvars == 0
+    assert back.remap is None
 
 
 def test_frame_with_unknown_tag_is_rejected():
@@ -1171,6 +1171,14 @@ def test_http_rejects_bad_requests():
         status, body = _http("POST", base + "/jobs",
                              {"variant": "secure", "k": 0})
         assert status == 400 and "k" in body["error"]
+        # Budgets as on the CLI: a conflict limit of at least 1, a
+        # positive (not NaN) wall budget.
+        for field, value in (("conflict_limit", 0),
+                             ("wall_budget", 0),
+                             ("wall_budget", float("nan"))):
+            status, body = _http("POST", base + "/jobs",
+                                 {"variant": "secure", field: value})
+            assert status == 400 and field in body["error"], value
         # Unknown job / endpoint, wrong method.
         status, _body = _http("GET", base + "/jobs/job-unknown")
         assert status == 404

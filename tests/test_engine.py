@@ -161,10 +161,9 @@ def test_sliced_export_drops_unrelated_cones():
     target = aig.and_(a, b)
     other = aig.and_(c, d)
     ctx.mapper.assumption(other)       # unrelated emitted cone
-    sliced = ctx.export_obligation("t", assumptions=[target], slice=True)
-    full = ctx.export_obligation("t", assumptions=[target], slice=False)
-    assert sliced.size()["clauses"] < full.size()["clauses"]
-    assert sliced.remap is not None and sliced.orig_nvars == full.nvars
+    sliced = ctx.export_obligation("t", assumptions=[target])
+    assert sliced.size()["clauses"] < len(ctx.solver.clauses)
+    assert sliced.remap is not None and sliced.nvars < ctx.solver.nvars
     verdict = solve_obligation(sliced)
     assert verdict.sat
     ctx.adopt_verdict(sliced, verdict)
@@ -186,8 +185,7 @@ def test_slice_fingerprint_ignores_remap_bookkeeping():
         ctx.mapper.assumption(target)          # shared walk prefix
         if grow:
             ctx.mapper.assumption(aig.xor_(b, c))   # divergent growth
-        return ctx.export_obligation("q", assumptions=[target],
-                                     slice=True)
+        return ctx.export_obligation("q", assumptions=[target])
 
     plain, grown = export(False), export(True)
     assert plain.fingerprint() == grown.fingerprint()
@@ -459,7 +457,7 @@ def test_engine_cached_stop_prevents_submission(tmp_path):
     obs = _batch(4)
     engine = ProofEngine(jobs=1, cache_dir=str(tmp_path))
     try:
-        engine.solve(obs[0])                       # warm index 0 (sat)
+        engine.solve_ordered(obs[:1])              # warm index 0 (sat)
         results = engine.solve_ordered(obs, early_stop=lambda v: v.sat)
         assert results[0].cached and results[0].sat
         assert all(v is None for v in results[1:])
@@ -472,7 +470,7 @@ def test_engine_cached_stop_prevents_submission(tmp_path):
 def test_engine_stats_aggregate():
     engine = ProofEngine(jobs=1)
     try:
-        engine.solve(_obligation([[1, 2], [-1, 2]]))
+        engine.solve_ordered([_obligation([[1, 2], [-1, 2]])])
         stats = engine.stats()
         assert stats["engine_obligations_solved"] == 1
         assert stats["engine_jobs"] == 1
@@ -571,7 +569,7 @@ def test_warm_entries_share_lru_eviction(tmp_path):
 def test_engine_solve_populates_warm_entries(tmp_path):
     with ProofEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
         ob = _bve_friendly_obligation()
-        engine.solve(ob)
+        engine.solve_ordered([ob])
         assert engine.cache.lookup_simplified(ob.fingerprint()) is not None
 
 

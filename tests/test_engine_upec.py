@@ -42,27 +42,24 @@ def _methodology_signature(result):
 # Acceptance: parallel == sequential, bit for bit, on all variants
 # ----------------------------------------------------------------------
 def test_methodology_parallel_matches_sequential_all_variants():
-    parallel = ProofEngine(jobs=2)
-    try:
+    with ProofEngine(jobs=1) as sequential, \
+            ProofEngine(jobs=2) as parallel:
         for name in VARIANTS:
             soc = SOCS[name]
-            seq = UpecMethodology(soc, SCENARIO, jobs=1).run(k=2)
+            seq = UpecMethodology(soc, SCENARIO, engine=sequential) \
+                .run(k=2)
             par = UpecMethodology(soc, SCENARIO, engine=parallel).run(k=2)
             assert _methodology_signature(seq) == \
                 _methodology_signature(par), name
-    finally:
-        parallel.close()
 
 
 def test_checker_parallel_matches_sequential_alert():
     seq_model = UpecModel(SOCS["orc"], SCENARIO)
     par_model = UpecModel(SOCS["orc"], SCENARIO)
-    parallel = ProofEngine(jobs=2)
-    try:
-        seq = UpecChecker(seq_model, engine=ProofEngine(jobs=1)).check(k=2)
+    with ProofEngine(jobs=1) as sequential, \
+            ProofEngine(jobs=2) as parallel:
+        seq = UpecChecker(seq_model, engine=sequential).check(k=2)
         par = UpecChecker(par_model, engine=parallel).check(k=2)
-    finally:
-        parallel.close()
     assert seq.status == par.status == "alert"
     assert seq.k == par.k
     assert seq.checked_frames == par.checked_frames
@@ -71,38 +68,15 @@ def test_checker_parallel_matches_sequential_alert():
 
 def test_engine_verdicts_match_legacy_inline_path():
     """The obligation path may find different counterexample *models*
-    than the incremental in-context solver, but verdicts (and the first
-    alerting frame, which is formula-determined) must agree."""
-    for name in ("secure", "orc"):
-        soc = SOCS[name]
-        legacy = UpecMethodology(soc, SCENARIO, engine=None).run(k=2)
-        engine = UpecMethodology(soc, SCENARIO, jobs=1).run(k=2)
-        assert legacy.verdict == engine.verdict, name
-
-
-def test_unsliced_export_takes_the_whole_window_at_jobs1():
-    """The one schedule rule of the engine path: an unsliced obligation
-    depends on how far the shared CNF grew, so ``slice=False`` exports
-    the whole window up front even at jobs=1 (frames past an early alert
-    included), which keeps its obligation stream — and the methodology
-    signature, witnesses included — equal to the jobs=2 unsliced run."""
-    model = UpecModel(SOCS["orc"], SCENARIO)
-    engine = ProofEngine(jobs=1)
-    try:
-        result = UpecChecker(model, engine=engine, slice=False).check(k=3)
-    finally:
-        engine.close()
-    assert result.status == "alert" and result.k < 3
-    assert model.stats()["obligations_exported"] == 3
-    parallel = ProofEngine(jobs=2)
-    try:
-        seq = UpecMethodology(SOCS["orc"], SCENARIO, jobs=1,
-                              slice=False).run(k=2)
-        par = UpecMethodology(SOCS["orc"], SCENARIO, engine=parallel,
-                              slice=False).run(k=2)
-    finally:
-        parallel.close()
-    assert _methodology_signature(seq) == _methodology_signature(par)
+    than the incremental in-context solver, but verdicts must agree.
+    All four variants, with the slice counters, are checked by
+    ``test_slice_differential``."""
+    with ProofEngine(jobs=1) as engine:
+        for name in ("secure", "orc"):
+            soc = SOCS[name]
+            legacy = UpecMethodology(soc, SCENARIO, engine=None).run(k=2)
+            sliced = UpecMethodology(soc, SCENARIO, engine=engine).run(k=2)
+            assert legacy.verdict == sliced.verdict, name
 
 
 # ----------------------------------------------------------------------
@@ -165,10 +139,12 @@ def test_refinement_loop_removes_alert_regs_and_resumes():
 # ----------------------------------------------------------------------
 def test_methodology_cache_hits_on_second_run(tmp_path):
     soc = SOCS["secure"]
-    first = UpecMethodology(soc, SCENARIO, cache_dir=str(tmp_path)) \
-        .run(k=2)
-    second = UpecMethodology(soc, SCENARIO, cache_dir=str(tmp_path)) \
-        .run(k=2)
+    runs = []
+    for _ in range(2):
+        with ProofEngine(cache_dir=str(tmp_path)) as engine:
+            runs.append(UpecMethodology(soc, SCENARIO, engine=engine)
+                        .run(k=2))
+    first, second = runs
     assert first.stats["engine_cache_hits"] == 0
     assert first.stats["engine_cache_misses"] > 0
     assert second.stats["engine_cache_hits"] > 0

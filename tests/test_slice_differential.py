@@ -1,13 +1,15 @@
 """Differential fuzzing of cone-of-influence obligation slicing.
 
-Sliced and unsliced exports of the same query must be equisatisfiable,
-and a sliced model must expand (via the remap table) to a model of the
-*full* recorded formula — exercised on seeded random miter contexts and
-on the four SoC design variants end to end.  A second family of tests
-pins down the history-independence guarantee: the fingerprint of a
-sliced frame obligation must not move when unrelated frames, registers
-or commitments grow the shared context, which is what makes the proof
-cache hit across window lengths, worker counts and runs.
+An exported (sliced) obligation must be equisatisfiable with an
+in-place solve of the full recorded formula, and a sliced model must
+expand (via the remap table) to a model of that full formula —
+exercised on seeded random miter contexts, and end to end on the
+closure and BMC front ends against their in-context (``engine=None``)
+paths.  A second family of tests pins down the history-independence
+guarantee: the fingerprint of a sliced frame obligation must not move
+when unrelated frames, registers or commitments grow the shared
+context, which is what makes the proof cache hit across window lengths,
+worker counts and runs.
 
 ``REPRO_FUZZ_SCALE`` multiplies the iteration counts (CI can turn the
 screws); the ``slow`` marker gates an extra high-volume pass.
@@ -26,8 +28,8 @@ from repro.soc.config import FORMAL_CONFIG_KWARGS
 
 FUZZ_SCALE = max(1, int(os.environ.get("REPRO_FUZZ_SCALE", "1")))
 
-VARIANTS = ("secure", "orc", "meltdown", "pmp_bug")
 SCENARIO = UpecScenario(secret_in_cache=True)
+VARIANTS = ("secure", "orc", "meltdown", "pmp_bug")
 
 
 def _soc(name):
@@ -69,7 +71,7 @@ def random_miter_context(rng, simplify):
         ctx.assert_lit(random_expr(rng, aig, inputs, 2), frame=frame)
     for _ in range(rng.randint(0, 3)):
         # Other queries' cones: emitted into the shared CNF but never
-        # asserted — exactly what makes unsliced obligations bloat.
+        # asserted — exactly what a slice must leave out.
         ctx.mapper.assumption(random_expr(rng, aig, inputs, 3))
     left = random_expr(rng, aig, inputs, rng.randint(2, 4))
     right = random_expr(rng, aig, inputs, rng.randint(2, 4))
@@ -112,25 +114,22 @@ def run_random_miters(seed, count, simplify):
         ctx, target = random_miter_context(rng, simplify)
         if target in (0, 1):
             continue  # structurally constant miter: nothing to solve
-        full = ctx.export_obligation("full", assumptions=[target],
-                                     slice=False)
-        sliced = ctx.export_obligation("sliced", assumptions=[target],
-                                       slice=True)
-        sliced.meta["dimacs_assumptions"] = list(full.assumptions)
-        size_f, size_s = full.size(), sliced.size()
-        assert size_s["clauses"] <= size_f["clauses"]
-        assert size_s["nvars"] <= size_f["nvars"]
+        sliced = ctx.export_obligation("sliced", assumptions=[target])
+        sliced.meta["dimacs_assumptions"] = [ctx.mapper.assumption(target)]
+        log = ctx.solver
+        assert sliced.size()["clauses"] <= len(log.clauses)
+        assert sliced.nvars <= log.nvars
         if sliced.remap is not None:
             proper_slices += 1
-        vf = solve_obligation(full)
         vs = solve_obligation(sliced)
-        assert vf.status == vs.status, \
+        # The reference: the full recorded formula, solved in place.
+        full = ctx.solve(assumptions=[target])
+        assert vs.status == ("sat" if full else "unsat"), \
             "slicing changed the verdict of a random miter"
         if vs.sat:
             assert_model_covers_log(sliced, vs, ctx)
         # Determinism: re-exporting the same query is bit-identical.
-        again = ctx.export_obligation("sliced", assumptions=[target],
-                                      slice=True)
+        again = ctx.export_obligation("sliced", assumptions=[target])
         assert again.fingerprint() == sliced.fingerprint()
     # The harness must actually exercise the remap/completion machinery,
     # not just identity slices.
@@ -144,8 +143,8 @@ def test_random_miters_sliced_matches_unsliced(simplify):
 
 def test_random_frame_cutoff_matches_rebuilt_reference():
     """A frame-``t`` slice keeps exactly the units of frames ``<= t``
-    (plus untagged ones): its verdict must match an unsliced export from
-    a reference context that only ever asserted those units."""
+    (plus untagged ones): its verdict must match an in-place solve of a
+    reference context that only ever asserted those units."""
     rng = random.Random(2702)
     for _ in range(40 * FUZZ_SCALE):
         nin = rng.randint(3, 7)
@@ -176,12 +175,11 @@ def test_random_frame_cutoff_matches_rebuilt_reference():
         if target in (0, 1):
             continue
         sliced = ctx_all.export_obligation(
-            "cut", assumptions=[target], slice=True, frame=cutoff)
+            "cut", assumptions=[target], frame=cutoff)
         ctx_ref, target_ref = build(cutoff)
-        reference = ctx_ref.export_obligation(
-            "ref", assumptions=[target_ref], slice=False)
+        reference = ctx_ref.solve(assumptions=[target_ref])
         verdict = solve_obligation(sliced)
-        assert verdict.status == solve_obligation(reference).status, \
+        assert verdict.status == ("sat" if reference else "unsat"), \
             "frame cutoff changed the verdict vs. a rebuilt reference"
         if verdict.sat:
             # The completed model is a real execution: it satisfies every
@@ -192,7 +190,7 @@ def test_random_frame_cutoff_matches_rebuilt_reference():
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the four design variants, sliced vs. unsliced
+# End-to-end: engine (sliced obligations) vs. the in-context solver
 # ----------------------------------------------------------------------
 def _alert_sig(alert):
     return None if alert is None else \
@@ -210,26 +208,33 @@ def _methodology_sig(result):
     )
 
 
+def _engine_run(soc, k, **engine_kwargs):
+    """One methodology run on its own engine, closed afterwards."""
+    with ProofEngine(**engine_kwargs) as engine:
+        return UpecMethodology(soc, SCENARIO, engine=engine).run(k=k)
+
+
 def test_methodology_slice_differential_all_variants():
-    """Acceptance: sliced and unsliced runs must agree on verdicts,
-    alert classification (frame, kind, differing registers) and the
-    removed-register sets on every design variant."""
-    for name in VARIANTS:
-        soc = _soc(name)
-        sliced = UpecMethodology(soc, SCENARIO, jobs=1, slice=True) \
-            .run(k=2)
-        unsliced = UpecMethodology(soc, SCENARIO, jobs=1, slice=False) \
-            .run(k=2)
-        assert _methodology_sig(sliced) == _methodology_sig(unsliced), name
-        # Slicing was actually exercised, and it never grew an export.
-        stats = sliced.stats
-        assert stats.get("obligations_sliced", 0) > 0, name
-        assert stats["slice_clauses_out"] <= stats["slice_clauses_in"], name
+    """Acceptance: on every design variant the sliced engine run reaches
+    the verdict of the in-context solve of the full formula (the
+    counterexample models, and so the P-alert sequences, may differ).
+    Slicing was actually exercised, and it never grew an export."""
+    with ProofEngine(jobs=1) as engine:
+        for name in VARIANTS:
+            soc = _soc(name)
+            inline = UpecMethodology(soc, SCENARIO, engine=None).run(k=2)
+            sliced = UpecMethodology(soc, SCENARIO, engine=engine).run(k=2)
+            assert sliced.verdict == inline.verdict, name
+            stats = sliced.stats
+            assert stats["obligations_exported"] > 0, name
+            assert stats["slice_clauses_out"] <= \
+                stats["slice_clauses_in"], name
 
 
 def test_closure_slice_differential():
     """Per-register closure obligations: the holds/fails pattern is
-    formula-determined and must survive slicing."""
+    formula-determined, so the sliced engine run must match the
+    in-context solve."""
     from repro.core import InductiveDiffProof
     from repro.core.closure import CondEq
 
@@ -238,35 +243,33 @@ def test_closure_slice_differential():
         CondEq(soc.resp_buf, cond=None),
         CondEq(soc.secret_cache_data_reg, cond=None),
     ]
-    results = {}
-    for mode in (True, False):
-        engine = ProofEngine(jobs=1)
-        try:
-            results[mode] = InductiveDiffProof(
-                soc, SCENARIO, invariant, engine=engine, slice=mode,
-            ).check_step(conflict_limit=200_000)
-        finally:
-            engine.close()
-    assert [(ob.name, ob.holds) for ob in results[True].obligations] == \
-        [(ob.name, ob.holds) for ob in results[False].obligations]
-    assert results[True].holds == results[False].holds
+    inline = InductiveDiffProof(soc, SCENARIO, invariant, engine=None) \
+        .check_step(conflict_limit=200_000)
+    with ProofEngine(jobs=1) as engine:
+        sliced = InductiveDiffProof(soc, SCENARIO, invariant,
+                                    engine=engine) \
+            .check_step(conflict_limit=200_000)
+    assert [(ob.name, ob.holds) for ob in sliced.obligations] == \
+        [(ob.name, ob.holds) for ob in inline.obligations]
+    assert sliced.holds == inline.holds
+    assert sliced.stats["obligations_exported"] > 0
 
 
 def test_bmc_slice_differential():
     from repro.formal import BmcEngine
     from repro.hdl import Circuit
 
-    for mode in (True, False):
+    def check(engine):
         c = Circuit("counter")
         cnt = c.reg("cnt", 8, init=0)
         c.next(cnt, cnt + 1)
         c.finalize()
-        engine = ProofEngine(jobs=1)
-        try:
-            result = BmcEngine(c, init="reset", engine=engine,
-                               slice=mode).check_always(cnt.ne(5), k=8)
-        finally:
-            engine.close()
+        return BmcEngine(c, init="reset", engine=engine) \
+            .check_always(cnt.ne(5), k=8)
+
+    with ProofEngine(jobs=1) as engine:
+        sliced = check(engine)
+    for result in (check(None), sliced):
         assert not result.holds and result.depth == 5
         assert result.witness.value("cnt", 5) == 5
 
@@ -316,10 +319,8 @@ def test_warm_cache_hits_at_longer_window(tmp_path):
     k=3 run: iteration-1 obligations do not depend on the window
     length."""
     soc = _soc("secure")
-    first = UpecMethodology(soc, SCENARIO, jobs=1,
-                            cache_dir=str(tmp_path)).run(k=2)
-    longer = UpecMethodology(soc, SCENARIO, jobs=1,
-                             cache_dir=str(tmp_path)).run(k=3)
+    first = _engine_run(soc, 2, jobs=1, cache_dir=str(tmp_path))
+    longer = _engine_run(soc, 3, jobs=1, cache_dir=str(tmp_path))
     assert first.stats["engine_cache_hits"] == 0
     assert longer.stats["engine_cache_hits"] > 0
     assert longer.stats["engine_cache_hits"] >= \
@@ -332,13 +333,8 @@ def test_warm_cache_shared_between_jobs_settings(tmp_path):
     obligation stream: a cache warmed by one is fully hit by the other,
     including the refinement iterations after a P-alert."""
     soc = _soc("orc")
-    seq = UpecMethodology(soc, SCENARIO, jobs=1,
-                          cache_dir=str(tmp_path)).run(k=2)
-    engine = ProofEngine(jobs=2, cache_dir=str(tmp_path))
-    try:
-        par = UpecMethodology(soc, SCENARIO, engine=engine).run(k=2)
-    finally:
-        engine.close()
+    seq = _engine_run(soc, 2, jobs=1, cache_dir=str(tmp_path))
+    par = _engine_run(soc, 2, jobs=2, cache_dir=str(tmp_path))
     assert par.stats["engine_cache_hits"] > 0
     assert par.stats["engine_cache_misses"] == 0
     assert _methodology_sig(par) == _methodology_sig(seq)
@@ -348,21 +344,20 @@ def test_warm_cache_shared_between_jobs_settings(tmp_path):
         [a.to_dict() for a in seq.p_alerts]
 
 
-def test_checker_stops_unrolling_after_alert_at_jobs1(tmp_path):
-    """The lazy jobs=1 path must not unroll or export frames past the
-    first alert (the cost the eager pre-slicing path always paid)."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checker_stops_unrolling_after_alert_at_jobs1(jobs):
+    """The one step rule of the engine path: in-process (jobs=1) the
+    checker exports one frame per step and never unrolls or exports a
+    frame past the first alert; on a pool it exports the whole window at
+    once, so every sibling is in flight.  On orc the first alert is at
+    frame 1 of 3."""
     soc = _soc("orc")
     model = UpecModel(soc, SCENARIO)
-    engine = ProofEngine(jobs=1)
-    try:
-        result = UpecChecker(model, engine=engine, slice=True).check(k=6)
-    finally:
-        engine.close()
-    assert result.status == "alert"
-    alert_frame = result.alert.frame
-    assert alert_frame < 6
-    exported = model.stats().get("obligations_exported", 0)
-    assert exported <= alert_frame  # frames past the alert never exported
+    with ProofEngine(jobs=jobs) as engine:
+        result = UpecChecker(model, engine=engine).check(k=3)
+    assert result.status == "alert" and result.alert.frame == 1
+    exported = model.stats()["obligations_exported"]
+    assert exported == (1 if jobs == 1 else 3)
 
 
 @pytest.mark.slow
