@@ -8,9 +8,6 @@ The ``preprocess`` and ``upec-sat`` groups pair each instance family with
 a raw-CNF and a simplified run, so the payoff of the SatELite-style
 pre-/inprocessor (``repro.formal.preprocess``) is measured directly on
 the clause shapes the engine actually emits.
-
-Run with ``--bench-json`` to also write the per-group numbers to
-``BENCH_engine.json`` (see ``conftest.py``).
 """
 
 import random

@@ -1,4 +1,4 @@
-"""Shared fixtures and reporting helpers for the benchmark suite.
+"""Shared fixtures and helpers for the benchmark suite.
 
 Each benchmark regenerates one table or figure of the paper.  Benchmarks
 print their paper-style rows to stdout (run pytest with ``-s`` to see
@@ -14,14 +14,8 @@ Environment knobs:
     Worker-count ceiling for the engine-sweep throughput benchmarks
     (default: the machine's CPU count; the sweep group still always
     measures jobs=1 as the baseline).
-
-``--bench-json [PATH]`` additionally writes the run's per-group
-wall-clock numbers (and obligations/sec where a benchmark reports its
-obligation count) to a JSON file — ``BENCH_engine.json`` by default —
-so the perf trajectory is machine-readable across PRs.
 """
 
-import json
 import os
 
 import pytest
@@ -31,44 +25,6 @@ FULL = os.environ.get("UPEC_BENCH_FULL", "0") == "1"
 
 def full_runs() -> bool:
     return FULL
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", nargs="?", const="BENCH_engine.json", default=None,
-        metavar="PATH",
-        help="write per-group wall-clock and obligations/sec numbers "
-             "to PATH (default: BENCH_engine.json)",
-    )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Serialize pytest-benchmark's collected stats as stable JSON."""
-    path = session.config.getoption("--bench-json", default=None)
-    if not path:
-        return
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    collected = getattr(bench_session, "benchmarks", None) or []
-    groups = {}
-    for bench in collected:
-        stats = getattr(bench, "stats", None)
-        entry = {
-            "name": getattr(bench, "name", ""),
-            "fullname": getattr(bench, "fullname", ""),
-            "wall_clock_s": getattr(stats, "mean", None),
-            "min_s": getattr(stats, "min", None),
-            "max_s": getattr(stats, "max", None),
-            "rounds": getattr(stats, "rounds", None),
-            "extra_info": dict(getattr(bench, "extra_info", None) or {}),
-        }
-        obligations = entry["extra_info"].get("obligations")
-        if obligations and entry["wall_clock_s"]:
-            entry["obligations_per_s"] = obligations / entry["wall_clock_s"]
-        group = getattr(bench, "group", None) or "ungrouped"
-        groups.setdefault(group, []).append(entry)
-    with open(path, "w") as handle:
-        json.dump({"groups": groups}, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def bench_jobs_ceiling() -> int:

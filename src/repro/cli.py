@@ -48,12 +48,13 @@ Exit codes
         obligation or iteration cap stopped ``check``, ``methodology``
         or a ``sweep`` cell short of a verdict (an insecure cell still
         makes ``sweep`` exit 2)
-``64``  usage error: ``--jobs`` or ``--k`` below 1, ``--conflict-limit``
-        below 1, ``--wall-budget`` not positive, a malformed broker
-        address, and ``--connect`` combined with ``--jobs`` on
-        ``check``/``methodology`` (on ``sweep`` the two compose —
-        ``--jobs`` fans cells out locally while each cell's obligations
-        shard over the broker)
+``64``  usage error: anything the argument parser rejects (an unknown
+        command, variant or flag, a non-integer ``--k``), ``--jobs`` or
+        ``--k`` below 1, ``--conflict-limit`` below 1, ``--wall-budget``
+        not positive, a malformed broker address, and ``--connect``
+        combined with ``--jobs`` on ``check``/``methodology`` (on
+        ``sweep`` the two compose — ``--jobs`` fans cells out locally
+        while each cell's obligations shard over the broker)
 ``69``  the distributed proof service failed: an unreachable broker, a
         rejected job, an expired ``submit --wait-timeout``
 """
@@ -562,8 +563,18 @@ def cmd_status(args) -> int:
     return 0 if status == 200 else 69
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors exit 64 (usage error), not
+    argparse's own 2, which is the code for an insecure verdict.
+    Subparsers are built from the same class; ``--help`` still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="UPEC: unique program execution checking (DATE 2019 repro)",
     )

@@ -177,6 +177,12 @@ class CnfMapper:
     Each AIG node is mapped to a solver variable on demand; repeated calls
     share previously emitted clauses, so the UPEC methodology can assert many
     different proof obligations over one unrolled model.
+
+    Invariant: a mapped AND node's cone is fully mapped, because a node is
+    only mapped after both of its children.  Mapping a new root therefore
+    walks its fan-in only down to mapped nodes, and still emits the
+    unmapped nodes in the order a walk of the root's whole cone
+    (:meth:`Aig.cone`) gives them: the same variables and clauses.
     """
 
     def __init__(self, aig: Aig, solver: Optional[CdclSolver] = None) -> None:
@@ -188,6 +194,11 @@ class CnfMapper:
         # which gate variable — that is what gives cone-of-influence
         # slicing its fan-in direction.  Plain solvers skip it.
         self._note_definition = getattr(self.solver, "note_definition", None)
+        # Node values read under an adopted model (see model_lit), valid
+        # for the adopted model object they were read under and until the
+        # next node is mapped.
+        self._eval_model: Optional[Sequence[bool]] = None
+        self._eval_values: Dict[int, bool] = {}
 
     def lit_to_solver(self, lit: int) -> int:
         """Return the DIMACS literal corresponding to an AIG literal,
@@ -209,28 +220,52 @@ class CnfMapper:
                 self._node_var[0] = var
             return -var if lit == TRUE else var
         node = lit >> 1
-        if node not in self._node_var:
-            for inner in self.aig.cone([lit]):
-                if inner in self._node_var:
-                    continue
-                fanins = self.aig.fanins(inner * 2)
-                assert fanins is not None
+        var = self._node_var.get(node)
+        if var is None:
+            self._map_cone(node)
+            var = self._node_var[node]
+        return -var if lit & 1 else var
+
+    def _map_cone(self, root: int) -> None:
+        """Map an unmapped node and the unmapped part of its fan-in,
+        children first.  The walk is :meth:`Aig.cone`'s, except that it
+        stops at mapped nodes (whose cones are fully mapped)."""
+        node_var = self._node_var
+        fanins_of = self.aig.fanins
+        solver = self.solver
+        seen: Set[int] = set()
+        stack: List[Tuple[int, bool]] = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                fanins = fanins_of(2 * node)
                 a = self._leaf_or_var(fanins[0])
                 b = self._leaf_or_var(fanins[1])
-                v = self.solver.new_var()
+                v = solver.new_var()
                 # v <-> a & b
-                self.solver.add_clause([-v, a])
-                self.solver.add_clause([-v, b])
-                self.solver.add_clause([v, -a, -b])
+                solver.add_clause([-v, a])
+                solver.add_clause([-v, b])
+                solver.add_clause([v, -a, -b])
                 if self._note_definition is not None:
                     self._note_definition(v, 3)
                 self.clauses_emitted += 3
-                self._node_var[inner] = v
-            if node not in self._node_var:
-                # Root is an input node; allocate a variable for it.
-                self._node_var[node] = self.solver.new_var()
-        var = self._node_var[node]
-        return -var if lit & 1 else var
+                node_var[node] = v
+                continue
+            if node in seen or node in node_var:
+                continue
+            seen.add(node)
+            fanins = fanins_of(2 * node)
+            if fanins is None:
+                continue  # input: mapped by its parent (or below)
+            stack.append((node, True))
+            stack.append((fanins[0] >> 1, False))
+            stack.append((fanins[1] >> 1, False))
+        if root not in node_var:
+            # Root is an input node; allocate a variable for it.
+            node_var[root] = solver.new_var()
+        # A newly mapped node reads its model value, no longer its
+        # fan-in's, so values read under an adopted model are stale.
+        self._eval_model = None
 
     def _leaf_or_var(self, lit: int) -> int:
         node = lit >> 1
@@ -281,17 +316,28 @@ class CnfMapper:
         node = lit >> 1
         var = self._node_var.get(node)
         if var is None:
-            if getattr(self.solver, "_adopted", None) is not None:
-                return bool(lit & 1) ^ self._eval_unmapped(node)
+            adopted = getattr(self.solver, "_adopted", None)
+            if adopted is not None:
+                return bool(lit & 1) ^ self._eval_unmapped(node, adopted)
             return bool(lit & 1) ^ bool(self._free_value(node))
         return self.solver.model_value(-var if lit & 1 else var)
 
-    def _eval_unmapped(self, node: int) -> bool:
+    def _eval_unmapped(self, node: int, adopted: Sequence[bool]) -> bool:
         """Evaluate an unmapped node's cone, grounding at mapped nodes
-        (their adopted model values) and at free inputs (False)."""
+        (their adopted model values) and at free inputs (False).
+
+        Values are kept across calls, so each node is evaluated at most
+        once per adopted model: every adoption installs a new model
+        object, and mapping a node clears them (see :meth:`_map_cone`)."""
+        if adopted is not self._eval_model:
+            self._eval_model = adopted
+            self._eval_values = {0: False}
+        values = self._eval_values
+        value = values.get(node)
+        if value is not None:
+            return value
         solver = self.solver
         node_var = self._node_var
-        values: Dict[int, bool] = {0: False}
         stack: List[Tuple[int, bool]] = [(node, False)]
         while stack:
             inner, expanded = stack.pop()

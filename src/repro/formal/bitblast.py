@@ -8,11 +8,10 @@ whose literal vectors are supplied by the environment (the unroller).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import FormalError
 from repro.formal.aig import Aig
-from repro.hdl.analysis import topo_order
 from repro.hdl.expr import (
     OP_ADD,
     OP_AND,
@@ -120,17 +119,35 @@ class BitBlaster:
         self.memo = memo
 
     def blast(self, expr: Expr) -> Bits:
-        """Return the literal vector of ``expr`` (memoized)."""
-        cached = self.memo.get(id(expr))
+        """Return the literal vector of ``expr`` (memoized).
+
+        Blasting is post-order (children first), so a memoized
+        expression's combinational cone is fully memoized.  The walk
+        therefore stops at memoized expressions and still blasts the rest
+        in the order of :func:`~repro.hdl.analysis.topo_order` over the
+        whole cone: the same AIG nodes, in the same order.
+        """
+        memo = self.memo
+        cached = memo.get(id(expr))
         if cached is not None:
             return cached[1]
-        aig = self.aig
-        memo = self.memo
-        for node in topo_order([expr]):
-            key = id(node)
-            if key in memo:
+        seen: Set[int] = set()
+        stack: List[Tuple[Expr, bool]] = [(expr, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                memo[id(node)] = (node, self._blast_node(node))
                 continue
-            memo[key] = (node, self._blast_node(node))
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            if node.op != OP_REG:
+                # Register leaves are not traversed through (the
+                # next-state belongs to the sequential boundary).
+                for arg in node.args:
+                    if id(arg) not in seen and id(arg) not in memo:
+                        stack.append((arg, False))
         return memo[id(expr)][1]
 
     def _blast_node(self, node: Expr) -> Bits:

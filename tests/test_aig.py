@@ -1,12 +1,18 @@
 """Unit tests for the AIG and its CNF mapping."""
 
 import itertools
+import os
+import random
 
 import pytest
 
 from repro.errors import FormalError
 from repro.formal.aig import FALSE, TRUE, Aig, CnfMapper
-from repro.formal.solver import CdclSolver
+from repro.formal.bmc import SatContext
+
+#: ``REPRO_FUZZ_SCALE`` multiplies the differential tests' example counts
+#: (CI's nightly differential leg turns it up).
+FUZZ_SCALE = max(1, int(os.environ.get("REPRO_FUZZ_SCALE", "1")))
 
 
 def test_constants():
@@ -186,3 +192,153 @@ def test_num_ands():
     base = aig.num_ands()
     aig.and_(a, b)
     assert aig.num_ands() == base + 1
+
+
+# ----------------------------------------------------------------------
+# Differentials: incremental mapping and witness reads against the
+# whole-cone walks they replace
+# ----------------------------------------------------------------------
+class ConeWalkMapper(CnfMapper):
+    """Reference mapper: maps a root by iterating its whole cone
+    (``Aig.cone``), skipping nodes that are already mapped."""
+
+    def lit_to_solver(self, lit):
+        if lit == FALSE or lit == TRUE:
+            return super().lit_to_solver(lit)
+        node = lit >> 1
+        if node not in self._node_var:
+            for inner in self.aig.cone([lit]):
+                if inner in self._node_var:
+                    continue
+                fanins = self.aig.fanins(inner * 2)
+                a = self._leaf_or_var(fanins[0])
+                b = self._leaf_or_var(fanins[1])
+                v = self.solver.new_var()
+                self.solver.add_clause([-v, a])
+                self.solver.add_clause([-v, b])
+                self.solver.add_clause([v, -a, -b])
+                self.solver.note_definition(v, 3)
+                self.clauses_emitted += 3
+                self._node_var[inner] = v
+            if node not in self._node_var:
+                self._node_var[node] = self.solver.new_var()
+        var = self._node_var[node]
+        return -var if lit & 1 else var
+
+
+def grow_and_map(ctx, seed):
+    """Grow a seeded random AIG in ``ctx`` while asserting, assuming and
+    freezing random literals of it, in a seeded random interleaving."""
+    rng = random.Random(seed)
+    aig = ctx.aig
+    lits = aig.new_inputs(3)
+    for _ in range(rng.randrange(20, 80)):
+        action = rng.random()
+        lit = rng.choice(lits) ^ rng.randrange(2)
+        if action < 0.5:
+            other = rng.choice(lits) ^ rng.randrange(2)
+            gate = rng.choice((aig.and_, aig.or_, aig.xor_))
+            lits.append(gate(lit, other))
+        elif action < 0.55:
+            lits.append(aig.new_input())
+        elif action < 0.65:
+            ctx.assert_lit(lit, frame=rng.choice((None, 0, 1, 2)))
+        elif action < 0.85:
+            ctx.mapper.assumption(lit)
+        else:
+            ctx.mapper.freeze_lit(lit)
+    return rng
+
+
+def recorded_formula(ctx):
+    log = ctx.solver
+    return (log.clauses, log.definitions, log.roots, log.tags, log.frozen,
+            log.nvars, ctx.mapper.clauses_emitted)
+
+
+def fresh_walk_values(ctx, in_process=False):
+    """Every node's value with a fresh evaluation: mapped nodes read the
+    model, unmapped free inputs read False, and unmapped AND nodes are
+    evaluated from their fan-in under an adopted model, False under an
+    in-process one.  Node indices are topological, so one pass does."""
+    aig, node_var = ctx.aig, ctx.mapper._node_var
+    values = [False] * len(aig)
+    for node in range(1, len(aig)):
+        var = node_var.get(node)
+        fanins = aig.fanins(2 * node)
+        if var is not None:
+            values[node] = ctx.solver.model_value(var)
+        elif fanins is not None and not in_process:
+            a, b = fanins
+            values[node] = (values[a >> 1] ^ bool(a & 1)) and \
+                (values[b >> 1] ^ bool(b & 1))
+    return values
+
+
+def assert_model_lits(ctx, in_process=False):
+    values = fresh_walk_values(ctx, in_process)
+    for node, value in enumerate(values):
+        assert ctx.value(2 * node) == value, node
+        assert ctx.value(2 * node + 1) == (not value), node
+    return values
+
+
+def adopt_random_model(ctx, rng):
+    ctx.adopt_model([rng.random() < 0.5
+                     for _ in range(ctx.solver.nvars + 1)])
+
+
+def test_mapping_matches_whole_cone_walk():
+    for seed in range(60 * FUZZ_SCALE):
+        ctx, ref = SatContext(), SatContext()
+        ref.mapper = ConeWalkMapper(ref.aig, ref.solver)
+        grow_and_map(ctx, seed)
+        grow_and_map(ref, seed)
+        assert recorded_formula(ctx) == recorded_formula(ref), seed
+        assert ctx.mapper._node_var == ref.mapper._node_var, seed
+
+
+def test_model_lit_matches_fresh_walks_across_adoptions_and_mapping():
+    changed_after_mapping = 0
+    for seed in range(60 * FUZZ_SCALE):
+        ctx = SatContext()
+        rng = grow_and_map(ctx, seed)
+        adopt_random_model(ctx, rng)
+        assert_model_lits(ctx)
+        adopt_random_model(ctx, rng)
+        before = assert_model_lits(ctx)
+        # Map an unmapped node that reads True under the adoption: it
+        # now reads its (absent, so False) model value, and unmapped
+        # nodes above it are re-evaluated from it.
+        node_var = ctx.mapper._node_var
+        unmapped = [node for node in range(1, len(ctx.aig))
+                    if node not in node_var]
+        targets = [node for node in unmapped if before[node]]
+        if targets:
+            ctx.mapper.assumption(2 * rng.choice(targets))
+            after = assert_model_lits(ctx)
+            changed_after_mapping += sum(
+                before[node] != after[node] for node in unmapped
+                if node not in node_var)
+        if ctx.solve() is True:
+            assert_model_lits(ctx, in_process=True)
+        adopt_random_model(ctx, rng)
+        assert_model_lits(ctx)
+    # The post-adoption mapping case really exercised a stale value.
+    assert changed_after_mapping > 0
+
+
+def test_model_lit_rereads_parent_after_post_adoption_mapping():
+    ctx = SatContext()
+    a, b = ctx.aig.new_inputs(2)
+    gate = ctx.aig.and_(a, b)
+    parent = ctx.aig.and_(gate, a)
+    ctx.mapper.assumption(a)
+    ctx.mapper.assumption(b)
+    ctx.adopt_model([False, True, True])
+    assert ctx.value(gate) and ctx.value(parent)
+    # gate gets a variable past the adopted model, which reads False;
+    # the unmapped parent must follow it.
+    ctx.mapper.assumption(gate)
+    assert not ctx.value(gate)
+    assert not ctx.value(parent)

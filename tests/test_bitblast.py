@@ -1,5 +1,8 @@
 """Property tests: bit-blasted semantics must match the simulator."""
 
+import os
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,13 @@ from repro.formal.bitblast import (
     unsigned_less_than,
 )
 from repro.hdl import Circuit, cat, const, mux, select, sext, zext
+from repro.hdl.analysis import topo_order
+from repro.hdl.expr import Input, Reg
 from repro.sim import Simulator
+
+#: ``REPRO_FUZZ_SCALE`` multiplies the differential test's example count
+#: (CI's nightly differential leg turns it up).
+FUZZ_SCALE = max(1, int(os.environ.get("REPRO_FUZZ_SCALE", "1")))
 
 
 def blast_inputs(circuit, expr):
@@ -60,7 +69,7 @@ def check_expr_matches_sim(build, names_widths, input_values):
 BYTE = st.integers(min_value=0, max_value=255)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * FUZZ_SCALE, deadline=None)
 @given(BYTE, BYTE, st.sampled_from(
     ["add", "sub", "and", "or", "xor", "eq", "ne", "ult", "ule"]))
 def test_binary_ops_match(x, y, op):
@@ -80,7 +89,7 @@ def test_binary_ops_match(x, y, op):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * FUZZ_SCALE, deadline=None)
 @given(BYTE)
 def test_unary_and_structure_ops_match(x):
     check_expr_matches_sim(lambda i: ~i["a"], [("a", 8)], {"a": x})
@@ -94,14 +103,14 @@ def test_unary_and_structure_ops_match(x):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * FUZZ_SCALE, deadline=None)
 @given(st.integers(min_value=0, max_value=15))
 def test_extensions_match(x):
     check_expr_matches_sim(lambda i: zext(i["a"], 8), [("a", 4)], {"a": x})
     check_expr_matches_sim(lambda i: sext(i["a"], 8), [("a", 4)], {"a": x})
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * FUZZ_SCALE, deadline=None)
 @given(st.booleans(), BYTE, BYTE)
 def test_mux_matches(s, x, y):
     check_expr_matches_sim(
@@ -111,7 +120,7 @@ def test_mux_matches(s, x, y):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30 * FUZZ_SCALE, deadline=None)
 @given(st.integers(min_value=0, max_value=7), st.lists(BYTE, min_size=8, max_size=8))
 def test_select_matches(idx, choices):
     check_expr_matches_sim(
@@ -121,14 +130,14 @@ def test_select_matches(idx, choices):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30 * FUZZ_SCALE, deadline=None)
 @given(BYTE)
 def test_shift_to_zero(x):
     check_expr_matches_sim(lambda i: i["a"] << 8, [("a", 8)], {"a": x})
     check_expr_matches_sim(lambda i: i["a"] >> 9, [("a", 8)], {"a": x})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * FUZZ_SCALE, deadline=None)
 @given(BYTE, BYTE, st.booleans())
 def test_adder_primitive(x, y, cin):
     aig = Aig()
@@ -141,7 +150,7 @@ def test_adder_primitive(x, y, cin):
     assert got == (x + y + int(cin)) & 0xFF
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * FUZZ_SCALE, deadline=None)
 @given(BYTE, BYTE)
 def test_comparator_primitives(x, y):
     aig = Aig()
@@ -195,3 +204,78 @@ def test_structural_sharing_across_instances():
     bits2 = blaster.blast(expr2)
     assert bits1 == bits2
     assert len(aig) == size_after_first
+
+
+# ----------------------------------------------------------------------
+# Differential: memo-pruned walk against a whole-cone topo_order walk
+# ----------------------------------------------------------------------
+class TopoOrderBlaster(BitBlaster):
+    """Reference blaster: lists the root's whole cone with ``topo_order``
+    and blasts every node not yet memoized, in that order."""
+
+    def blast(self, expr):
+        cached = self.memo.get(id(expr))
+        if cached is not None:
+            return cached[1]
+        for node in topo_order([expr]):
+            if id(node) not in self.memo:
+                self.memo[id(node)] = (node, self._blast_node(node))
+        return self.memo[id(expr)][1]
+
+
+def random_expr_pool(rng, size):
+    """A seeded random 4-bit expression DAG over inputs, registers and a
+    constant, every new node reusing earlier ones."""
+    pool = [Input(f"i{n}", 4) for n in range(3)]
+    pool += [Reg(f"r{n}", 4) for n in range(2)]
+    pool.append(const(rng.randrange(16), 4))
+    for _ in range(size):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        op = rng.randrange(8)
+        if op == 0:
+            pool.append(a + b)
+        elif op == 1:
+            pool.append(a - b)
+        elif op == 2:
+            pool.append(rng.choice((a & b, a | b, a ^ b)))
+        elif op == 3:
+            pool.append(~a)
+        elif op == 4:
+            pool.append(mux(a.ult(b), b, c))
+        elif op == 5:
+            pool.append(cat(a[0:2], b[2:4]))
+        elif op == 6:
+            pool.append(rng.choice((a << 1, a >> 2)))
+        else:
+            pool.append(zext(cat(a.eq(b), c.any()), 4))
+    return pool
+
+
+def blast_sequence(blaster_class, pool, roots):
+    """Blast ``roots`` in order through one memo, with leaf bits
+    allocated on first use (inputs memoized, as the unroller does)."""
+    aig = Aig()
+    memo = {}
+    reg_bits = {}
+
+    def leaf(node):
+        if isinstance(node, Reg):
+            if node not in reg_bits:
+                reg_bits[node] = aig.new_inputs(node.width)
+            return reg_bits[node]
+        memo[id(node)] = (node, aig.new_inputs(node.width))
+        return memo[id(node)][1]
+
+    blaster = blaster_class(aig, leaf, memo)
+    bits = [blaster.blast(pool[i]) for i in roots]
+    return bits, [aig.fanins(2 * node) for node in range(len(aig))]
+
+
+def test_blast_matches_topo_order_walk():
+    for seed in range(60 * FUZZ_SCALE):
+        rng = random.Random(seed)
+        pool = random_expr_pool(rng, rng.randrange(5, 60))
+        roots = [rng.randrange(len(pool))
+                 for _ in range(rng.randrange(1, 12))]
+        assert blast_sequence(BitBlaster, pool, roots) == \
+            blast_sequence(TopoOrderBlaster, pool, roots), seed

@@ -99,13 +99,33 @@ def test_check_and_methodology_close_their_engine(monkeypatch, capsys):
 
 
 def test_parser_rejects_unknown_variant():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["info", "bogus"])
+    assert exc.value.code == 64
 
 
 def test_parser_requires_command():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["methodology", "secure", "--bogus-flag"],
+    ["check", "secure", "--k", "x"],
+], ids=["unknown-flag", "non-integer-k"])
+def test_parse_errors_exit_64_not_the_insecure_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--conflict-limit" in capsys.readouterr().out
 
 
 def test_solver_flags_uniform_across_sat_commands():

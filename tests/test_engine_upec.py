@@ -2,6 +2,9 @@
 P-alert commitment-refinement loop, the persistent proof cache, and the
 scenario sweep API."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import (
@@ -132,6 +135,40 @@ def test_refinement_loop_removes_alert_regs_and_resumes():
     for alert in result.p_alerts + [result.l_alert]:
         assert seen.isdisjoint(alert.diff_reg_names())
         seen.update(alert.diff_reg_names())
+
+
+def test_obligation_stream_is_pinned():
+    """The exact obligation stream of one methodology run: every
+    exported obligation's name, fingerprint and slice remap in order,
+    the L-alert with its witness, and the model's final AIG and CNF
+    sizes.  A change to the model layer (unrolling, bit-blasting, CNF
+    mapping, slicing, witness reads) that keeps every node number,
+    variable, clause and model value keeps this digest; one that moves
+    any of them has to say so."""
+    exported = []
+
+    class RecordingEngine(ProofEngine):
+        def solve_ordered(self, obligations, early_stop=None):
+            exported.extend(obligations)
+            return super().solve_ordered(obligations, early_stop=early_stop)
+
+    with RecordingEngine(jobs=1) as engine:
+        result = UpecMethodology(SOCS["orc"], SCENARIO, engine=engine) \
+            .run(k=2)
+    assert result.verdict == "insecure"
+    digest = hashlib.sha256()
+    for obligation in exported:
+        digest.update(json.dumps(
+            [obligation.name, obligation.fingerprint(), obligation.remap]
+        ).encode())
+    digest.update(json.dumps(result.l_alert.to_dict(),
+                             sort_keys=True).encode())
+    digest.update(json.dumps(
+        [result.stats[key]
+         for key in ("aig_nodes", "cnf_vars", "cnf_clauses_emitted")]
+    ).encode())
+    assert (len(exported), digest.hexdigest()[:16]) == \
+        (3, "dc20a66427be94cc")
 
 
 # ----------------------------------------------------------------------
