@@ -8,7 +8,8 @@ Each record holds, per perfbench workload, the parent's and the change's
 median (and quartiles, where recorded) of every metric it measured.  Two
 records are compared on their change sides; one record on its own parent
 and change.  Metrics and workloads that only one side measured are
-skipped.
+skipped.  An unknown id, or more than two, prints the known ids and
+exits 2.
 """
 
 import json
@@ -33,6 +34,14 @@ def medians(record, side):
 def main(argv):
     records = json.loads(TRAJECTORY.read_text())["records"]
     by_id = {record["id"]: record for record in records}
+    unknown = [i for i in argv if i not in by_id]
+    if len(argv) > 2 or unknown:
+        if unknown:
+            print(f"unknown record id: {', '.join(unknown)}",
+                  file=sys.stderr)
+        print("usage: bench_delta.py [ID | OLD_ID NEW_ID]\n"
+              f"known ids: {', '.join(by_id)}", file=sys.stderr)
+        return 2
     if len(argv) == 1:
         old = new = by_id[argv[0]]
         old_side = "parent"

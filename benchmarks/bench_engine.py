@@ -211,135 +211,6 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
     benchmark.pedantic(run, rounds=1, iterations=1)
 
 
-# ----------------------------------------------------------------------
-# Obligation engine: sweep throughput vs. worker count
-# ----------------------------------------------------------------------
-@pytest.mark.benchmark(group="sweep")
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_table1_sweep_throughput(benchmark, jobs):
-    """Tab.-I grid (all four variants, D in cache) through the scenario
-    sweep scheduler at 1/2/4 workers.  On multi-core hosts the higher
-    worker counts show the wall-clock speedup of obligation-level
-    parallelism; the jobs=1 row is the sequential baseline.  Worker
-    counts beyond the machine (see ``UPEC_BENCH_JOBS``) are skipped
-    rather than reported as misleading oversubscription numbers."""
-    from conftest import bench_jobs_ceiling
-
-    from repro.engine import ScenarioSweep
-
-    if jobs > 1 and jobs > bench_jobs_ceiling():
-        pytest.skip(f"host has fewer than {jobs} usable cores")
-    sweep = ScenarioSweep.table1_grid(k=2, uncached=False)
-
-    def run():
-        result = sweep.run(jobs=jobs)
-        verdicts = result.verdicts()
-        assert verdicts["secure/cached/k=2"] == "secure_bounded"
-        assert verdicts["orc/cached/k=2"] == "insecure"
-        assert verdicts["meltdown/cached/k=2"] == "insecure"
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-@pytest.mark.benchmark(group="sweep")
-def test_frame_obligations_through_engine(benchmark, proof_engine):
-    """Per-frame obligation dispatch on one miter (engine jobs=1): the
-    scheduling overhead added on top of raw solving."""
-    from repro.core import UpecChecker, UpecModel, UpecScenario
-    from repro.soc.config import FORMAL_CONFIG_KWARGS
-
-    soc = build_soc(SocConfig.orc(**FORMAL_CONFIG_KWARGS))
-
-    def run():
-        model = UpecModel(soc, UpecScenario(secret_in_cache=True))
-        result = UpecChecker(model, engine=proof_engine).check(k=2)
-        assert result.status == "alert"
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-# ----------------------------------------------------------------------
-# Distributed proof service: obligations/sec vs. worker count
-# ----------------------------------------------------------------------
-def _dist_workload(count=12, nvars=110, seed=11):
-    """Random 3-SAT instances near the phase transition: enough solver
-    work per obligation that scheduling overhead does not dominate, and
-    every obligation's content (hence fingerprint) is distinct."""
-    from repro.engine import ProofObligation
-
-    obligations = []
-    for i in range(count):
-        obligations.append(ProofObligation(
-            name=f"dist{i}", nvars=nvars,
-            clauses=random_3sat(nvars, int(nvars * 4.2), seed=seed + i),
-            assumptions=[], simplify=True,
-        ))
-    return obligations
-
-
-@pytest.mark.benchmark(group="dist")
-@pytest.mark.parametrize("workers", [0, 1, 2, 4],
-                         ids=["local", "w1", "w2", "w4"])
-def test_dist_obligation_throughput(benchmark, workers):
-    """Obligation throughput through the network broker at 1/2/4
-    workers against the in-process pool baseline (``local``): the
-    dispatch + wire overhead per obligation, and the wall-clock scaling
-    the distributed scheduler buys once obligations are shipped to more
-    than one solver process."""
-    import multiprocessing
-
-    from conftest import bench_jobs_ceiling
-
-    from repro.dist import Broker, RemotePool
-    from repro.dist.worker import run_worker
-    from repro.engine import ProofEngine
-
-    if workers > 1 and workers > bench_jobs_ceiling():
-        pytest.skip(f"host has fewer than {workers} usable cores")
-    obligations = _dist_workload()
-
-    if workers == 0:
-        engine = ProofEngine(jobs=1)
-
-        def run():
-            results = engine.solve_ordered(obligations)
-            assert all(v is not None for v in results)
-
-        try:
-            benchmark.pedantic(run, rounds=1, iterations=1)
-        finally:
-            engine.close()
-    else:
-        context = multiprocessing.get_context("fork")
-        broker = Broker(port=0).start()
-        procs = [
-            context.Process(target=run_worker, args=(broker.address,),
-                            kwargs={"poll_interval": 0.005}, daemon=True)
-            for _ in range(workers)
-        ]
-        for process in procs:
-            process.start()
-        try:
-            pool = RemotePool(broker.address)
-
-            def run():
-                results = pool.solve_ordered(obligations)
-                assert all(v is not None for v in results)
-
-            # A fresh broker per benchmark: the verdict memo must not
-            # turn later rounds into cache-hit measurements, so one
-            # round only.
-            benchmark.pedantic(run, rounds=1, iterations=1)
-            pool.close()
-        finally:
-            for process in procs:
-                process.terminate()
-            for process in procs:
-                process.join(timeout=5)
-            broker.stop()
-    benchmark.extra_info["obligations"] = len(obligations)
-
-
 @pytest.mark.benchmark(group="sim")
 def test_soc_simulation_throughput(benchmark):
     """Cycles/second of the full SoC RTL under simulation."""

@@ -5,15 +5,11 @@ print their paper-style rows to stdout (run pytest with ``-s`` to see
 them) and also assert the qualitative *shape* the paper reports, so a
 regression in any reproduced phenomenon fails the suite.
 
-Environment knobs:
+Environment knob:
 
 ``UPEC_BENCH_FULL=1``
     Run the full (slow) proof windows used for EXPERIMENTS.md instead of
     the CI-sized ones.
-``UPEC_BENCH_JOBS=n``
-    Worker-count ceiling for the engine-sweep throughput benchmarks
-    (default: the machine's CPU count; the sweep group still always
-    measures jobs=1 as the baseline).
 """
 
 import os
@@ -25,26 +21,6 @@ FULL = os.environ.get("UPEC_BENCH_FULL", "0") == "1"
 
 def full_runs() -> bool:
     return FULL
-
-
-def bench_jobs_ceiling() -> int:
-    """Largest worker count worth benchmarking on this machine."""
-    try:
-        return max(1, int(os.environ.get("UPEC_BENCH_JOBS",
-                                         str(os.cpu_count() or 1))))
-    except ValueError:
-        return 1
-
-
-@pytest.fixture(scope="session")
-def proof_engine():
-    """A shared obligation engine (in-process, no cache) so benchmarks
-    exercise the same scheduler layer the CLI and methodology use."""
-    from repro.engine import ProofEngine
-
-    engine = ProofEngine(jobs=1)
-    yield engine
-    engine.close()
 
 
 @pytest.fixture(scope="session")

@@ -49,9 +49,11 @@ Exit codes
         or a ``sweep`` cell short of a verdict (an insecure cell still
         makes ``sweep`` exit 2)
 ``64``  usage error: anything the argument parser rejects (an unknown
-        command, variant or flag, a non-integer ``--k``), ``--jobs`` or
+        command, variant or flag, a non-integer ``--k``, an ``attack
+        --secret`` that is not an integer in 0..255), ``--jobs`` or
         ``--k`` below 1, ``--conflict-limit`` below 1, ``--wall-budget``
-        not positive, a malformed broker address, and ``--connect``
+        not positive, a ``sweep --variants`` list naming no variant, a
+        malformed broker address, and ``--connect``
         combined with ``--jobs`` on ``check``/``methodology`` (on
         ``sweep`` the two compose — ``--jobs`` fans cells out locally
         while each cell's obligations shard over the broker)
@@ -175,6 +177,20 @@ def _validate_address(spec: str) -> None:
         raise UsageError(str(exc)) from None
 
 
+def _secret_byte(text: str) -> int:
+    """``--secret``: one byte, written in any base ``int(text, 0)``
+    reads (``107``, ``0x6B``, ``0b1101011``)."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+    if not 0 <= value <= 0xFF:
+        raise argparse.ArgumentTypeError(
+            f"must be a byte in 0..255, got {text}")
+    return value
+
+
 def _connect_from_args(args) -> str:
     """The effective broker address (flag, else environment), or None."""
     if args.connect:
@@ -296,6 +312,10 @@ def cmd_sweep(args) -> int:
         # over the broker.
         _validate_address(connect)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        # Zero cells would "all be secure" and exit 0.
+        raise UsageError(f"--variants names no variant (choose from "
+                         f"{', '.join(VARIANTS)})")
     for variant in variants:
         if variant not in VARIANTS:
             print(f"unknown variant {variant!r} (choose from "
@@ -332,18 +352,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_attack(args) -> int:
     soc = _build(args.variant, "sim")
-    secret = int(args.secret, 0)
     if args.kind == "orc":
         from repro.attacks import run_orc_attack
 
-        result = run_orc_attack(soc, secret)
+        result = run_orc_attack(soc, args.secret)
         human = result.series.render()
         recovered = result.recovered_index
         true = result.true_index
     else:
         from repro.attacks import run_meltdown_attack
 
-        result = run_meltdown_attack(soc, secret)
+        result = run_meltdown_attack(soc, args.secret)
         rows = [[g, t] for g, t in zip(result.series.guesses,
                                        result.series.cycles)]
         human = format_table(["probe", "cycles"], rows)
@@ -616,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_att = sub.add_parser("attack", help="simulator-level attack")
     p_att.add_argument("kind", choices=("orc", "meltdown"))
     _add_common(p_att)
-    p_att.add_argument("--secret", default="0x6B")
+    p_att.add_argument("--secret", type=_secret_byte, default="0x6B",
+                       help="secret byte, 0..255 (default: 0x6B)")
     _add_output_flags(p_att)
     p_att.set_defaults(func=cmd_attack)
 

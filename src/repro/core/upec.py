@@ -141,8 +141,7 @@ class UpecChecker:
             )
             checked += 1
             if outcome is None:
-                timed_out = getattr(model.context.solver, "stop_reason",
-                                    None) == "deadline"
+                timed_out = model.context.solver.stop_reason == "deadline"
                 return UpecCheckResult(
                     status=INCONCLUSIVE, k=t,
                     runtime_s=time.perf_counter() - start,

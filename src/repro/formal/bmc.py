@@ -18,29 +18,49 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import FormalError
 from repro.formal.aig import Aig, CnfMapper
 from repro.formal.bitblast import bits_to_int
-from repro.formal.preprocess import SimplifyingSolver
-from repro.formal.solver import CdclSolver
+from repro.formal.preprocess import SimplifyingSolver, SimplifyStats
+from repro.formal.solver import CdclSolver, Stats
 from repro.formal.unroll import Unroller
 from repro.hdl.circuit import Circuit
 from repro.hdl.expr import Expr, Reg
 
 
 class ClauseLog:
-    """Transparent solver proxy that records the asserted CNF.
+    """Clause recorder of a :class:`SatContext`, with an in-place solver
+    built on demand.
 
-    :class:`SatContext` routes every clause through this wrapper so the
-    full problem formula is available as data — that is what lets a
-    context *export* self-contained proof obligations instead of only
-    solving them in place.  The log also supports adopting a model that
-    was computed elsewhere (by a worker process or a cache hit), so
-    witness extraction reads external models through the exact same
-    ``model_value`` path as in-process ones.
+    :class:`SatContext` routes every clause through this log so the full
+    problem formula is available as data — that is what lets a context
+    *export* self-contained proof obligations instead of only solving
+    them in place.  The log owns the variable count and records the
+    clauses, the frozen variables, each clause's frame tag, and which
+    clauses define which gate (:meth:`note_definition`).
+
+    Only an in-place :meth:`solve` needs a solver.  The first one builds
+    it — a :class:`SimplifyingSolver`, or a :class:`CdclSolver` when
+    ``simplify`` is off — and replays into it, in order, the variable
+    count, the frozen set and the recorded clauses; after that,
+    variables, clauses and freezes reach it as they are recorded.  The
+    replay is exact because before its first solve a solver only
+    buffers: a :class:`SimplifyingSolver` has eliminated nothing yet (so
+    nothing is resurrected), and a :class:`CdclSolver` only propagates
+    level-0 units in clause order.  The replayed solver is therefore in
+    the state an eagerly fed one would be in, and every later call finds
+    it so.  A context that only exports obligations never builds one.
+
+    The log also supports adopting a model that was computed elsewhere
+    (by a worker process or a cache hit), so witness extraction reads
+    external models through the exact same ``model_value`` path as
+    in-process ones.
     """
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
+    def __init__(self, simplify: bool = True) -> None:
+        self.simplify = simplify
+        self.nvars = 0
         self.clauses: List[List[int]] = []
         self.frozen: Set[int] = set()
+        #: The in-place solver; None until the first :meth:`solve`.
+        self.inner = None
         self._adopted: Optional[List[bool]] = None
         #: Per-clause frame tag (None = frame-independent).  Clients set
         #: ``unit_tag`` around an assertion so the obligation slicer can
@@ -53,20 +73,37 @@ class ClauseLog:
         #: they give the cone-of-influence slicer its fan-in direction.
         self.definitions: Dict[int, List[int]] = {}
         self.roots: List[int] = []
-        if hasattr(inner, "freeze_var"):
-            # Only advertise freezing when the inner solver supports it:
+        if simplify:
+            # Only advertise freezing when the solver will support it:
             # CnfMapper.freeze_lit probes with getattr and must keep
             # skipping cone emission for plain CDCL contexts.
             self.freeze_var = self._freeze_var
 
+    def new_var(self) -> int:
+        self.nvars += 1
+        if self.inner is not None:
+            self.inner.new_var()
+        return self.nvars
+
     def add_clause(self, lits) -> bool:
-        # The inner solvers build their own normalized copies, so the
-        # log can keep the caller's list (CnfMapper always passes fresh
-        # ones) instead of copying every clause on the emission path.
+        """Record a clause (and hand it to the solver, once built).
+
+        Returns False when the solver finds the formula trivially
+        unsatisfiable; before it is built, only an empty clause does."""
+        # The solvers build their own normalized copies, so the log can
+        # keep the caller's list (CnfMapper always passes fresh ones)
+        # instead of copying every clause on the emission path.
         clause = lits if type(lits) is list else list(lits)
+        nvars = self.nvars
+        for lit in clause:
+            if not (lit and -nvars <= lit <= nvars):
+                raise FormalError(
+                    f"literal {lit} references an unknown variable")
         self.roots.append(len(self.clauses))
         self.clauses.append(clause)
         self.tags.append(self.unit_tag)
+        if self.inner is None:
+            return bool(clause)
         return self.inner.add_clause(clause)
 
     def note_definition(self, var: int, count: int) -> None:
@@ -76,23 +113,54 @@ class ClauseLog:
         self.definitions[var] = self.roots[-count:]
         del self.roots[-count:]
 
-    def add_clauses(self, clauses) -> bool:
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok
-
     def _freeze_var(self, var: int) -> None:
+        if not 0 < var <= self.nvars:
+            raise FormalError(f"unknown variable {var}")
         self.frozen.add(var)
-        self.inner.freeze_var(var)
+        if self.inner is not None:
+            self.inner.freeze_var(var)
+
+    def _build(self):
+        """The in-place solver, fed everything recorded so far."""
+        solver = SimplifyingSolver() if self.simplify else CdclSolver()
+        for _ in range(self.nvars):
+            solver.new_var()
+        for var in self.frozen:
+            solver.freeze_var(var)
+        for clause in self.clauses:
+            solver.add_clause(clause)
+        return solver
 
     def solve(self, assumptions: Sequence[int] = (),
               conflict_limit: Optional[int] = None,
               deadline: Optional[float] = None) -> Optional[bool]:
         self._adopted = None
+        if self.inner is None:
+            self.inner = self._build()
         return self.inner.solve(assumptions=assumptions,
                                 conflict_limit=conflict_limit,
                                 deadline=deadline)
+
+    @property
+    def stats(self) -> Stats:
+        """Search counters (all zero before the first solve)."""
+        return self.inner.stats if self.inner is not None else Stats()
+
+    @property
+    def simplify_stats(self) -> Optional[SimplifyStats]:
+        """Simplifier counters (zero before the first solve), or None
+        when ``simplify`` is off."""
+        if not self.simplify:
+            return None
+        if self.inner is None:
+            return SimplifyStats()
+        return self.inner.simplify_stats
+
+    @property
+    def stop_reason(self) -> Optional[str]:
+        """Why the last :meth:`solve` returned None (see
+        :attr:`CdclSolver.stop_reason`)."""
+        return self.inner.stop_reason if self.inner is not None else None
 
     def adopt_model(self, model: Sequence[bool]) -> None:
         """Install an externally computed model; ``model_value`` reads it
@@ -104,10 +172,9 @@ class ClauseLog:
             var = abs(lit)
             value = self._adopted[var] if var < len(self._adopted) else False
             return value if lit > 0 else not value
+        if self.inner is None:
+            raise FormalError("no model available (last solve was not SAT)")
         return self.inner.model_value(lit)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
 
 
 class SatContext:
@@ -120,15 +187,18 @@ class SatContext:
     Queries can either be solved in place (:meth:`solve`, incremental)
     or exported as self-contained :class:`ProofObligation` values
     (:meth:`export_obligation`) for the scheduler/cache layers of
-    :mod:`repro.engine`.
+    :mod:`repro.engine`.  The context's :class:`ClauseLog` records the
+    formula either way and builds the in-place solver at the first
+    :meth:`solve`, replaying what it recorded: before its first solve a
+    solver only buffers, so the replayed one answers exactly as an
+    eagerly fed one would, and a context that only exports never builds
+    one.
     """
 
     def __init__(self, simplify: bool = True) -> None:
         self.aig = Aig()
         self.simplify = simplify
-        self.solver = ClauseLog(
-            SimplifyingSolver() if simplify else CdclSolver()
-        )
+        self.solver = ClauseLog(simplify)
         self.mapper = CnfMapper(self.aig, self.solver)
         self._slice_totals: Dict[str, int] = {}
 
@@ -286,7 +356,7 @@ class SatContext:
         data["cnf_vars"] = self.solver.nvars
         data["cnf_clauses_emitted"] = self.mapper.clauses_emitted
         data.update(self._slice_totals)
-        simp = getattr(self.solver, "simplify_stats", None)
+        simp = self.solver.simplify_stats
         if simp is not None:
             for key, value in simp.as_dict().items():
                 data[f"simplify_{key}"] = value

@@ -9,6 +9,8 @@ import pytest
 from repro.errors import FormalError
 from repro.formal.aig import FALSE, TRUE, Aig, CnfMapper
 from repro.formal.bmc import SatContext
+from repro.formal.preprocess import SimplifyingSolver
+from repro.formal.solver import CdclSolver
 
 #: ``REPRO_FUZZ_SCALE`` multiplies the differential tests' example counts
 #: (CI's nightly differential leg turns it up).
@@ -342,3 +344,220 @@ def test_model_lit_rereads_parent_after_post_adoption_mapping():
     ctx.mapper.assumption(gate)
     assert not ctx.value(gate)
     assert not ctx.value(parent)
+
+
+# ----------------------------------------------------------------------
+# Differential: the on-demand in-place solver against the eagerly fed
+# proxy it replaces
+# ----------------------------------------------------------------------
+class EagerClauseLog:
+    """Reference log: a transparent proxy that records every clause and
+    feeds it straight to a solver built up front."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.clauses = []
+        self.frozen = set()
+        self._adopted = None
+        self.tags = []
+        self.unit_tag = None
+        self.definitions = {}
+        self.roots = []
+        if hasattr(inner, "freeze_var"):
+            self.freeze_var = self._freeze_var
+
+    def add_clause(self, lits):
+        clause = lits if type(lits) is list else list(lits)
+        self.roots.append(len(self.clauses))
+        self.clauses.append(clause)
+        self.tags.append(self.unit_tag)
+        return self.inner.add_clause(clause)
+
+    def note_definition(self, var, count):
+        self.definitions[var] = self.roots[-count:]
+        del self.roots[-count:]
+
+    def _freeze_var(self, var):
+        self.frozen.add(var)
+        self.inner.freeze_var(var)
+
+    def solve(self, assumptions=(), conflict_limit=None, deadline=None):
+        self._adopted = None
+        return self.inner.solve(assumptions=assumptions,
+                                conflict_limit=conflict_limit,
+                                deadline=deadline)
+
+    def adopt_model(self, model):
+        self._adopted = list(model)
+
+    def model_value(self, lit):
+        if self._adopted is not None:
+            var = abs(lit)
+            value = self._adopted[var] if var < len(self._adopted) else False
+            return value if lit > 0 else not value
+        return self.inner.model_value(lit)
+
+    @property
+    def simplify_stats(self):
+        # SatContext.stats() read it with this getattr before the log
+        # grew the attribute.
+        return getattr(self.inner, "simplify_stats", None)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def eager_context(simplify):
+    ctx = SatContext(simplify=simplify)
+    ctx.solver = EagerClauseLog(
+        SimplifyingSolver() if simplify else CdclSolver())
+    ctx.mapper = CnfMapper(ctx.aig, ctx.solver)
+    return ctx
+
+
+def model_error(ctx):
+    with pytest.raises(FormalError) as exc:
+        ctx.solver.model_value(1)
+    return str(exc.value)
+
+
+def solver_state(solver):
+    """The clause databases a solver holds, in order, and its trail
+    (white-box: small random formulas rarely let a reordered database
+    change an answer or a model)."""
+    if isinstance(solver, SimplifyingSolver):
+        return (solver._db, solver._pending, sorted(solver._frozen),
+                solver_state(solver._inner))
+    return solver._clauses, solver._learnts, solver._trail
+
+
+def assert_same_after_solve(pair, outcome):
+    ctx, ref = pair
+    assert solver_state(ctx.solver.inner) == solver_state(ref.solver.inner)
+    assert ctx.solver.stop_reason == ref.solver.stop_reason
+    assert ctx.stats() == ref.stats()
+    nvars = ref.solver.nvars
+    if outcome is True:
+        assert [ctx.solver.model_value(v) for v in range(1, nvars + 1)] == \
+            [ref.solver.model_value(v) for v in range(1, nvars + 1)]
+    else:
+        assert model_error(ctx) == model_error(ref)
+
+
+def run_solve_session(pair, seed):
+    """Drive both contexts through one seeded random session: AIG
+    growth, frame-tagged assertions, freezes, mapping, and solves under
+    random assumptions and conflict limits, each step applied to both.
+    Returns the number of solves."""
+    rng = random.Random(seed)
+    ctx, ref = pair
+    lits = ctx.aig.new_inputs(3)
+    assert ref.aig.new_inputs(3) == lits
+    for context in pair:
+        context.mapper.assumption(lits[0])
+    assert model_error(ctx) == model_error(ref)
+    assert ctx.stats() == ref.stats()
+    solves = 0
+    for _ in range(rng.randrange(40, 160)):
+        action = rng.random()
+        lit = rng.choice(lits) ^ rng.randrange(2)
+        if action < 0.45:
+            other = rng.choice(lits) ^ rng.randrange(2)
+            gate = rng.choice(("and_", "or_", "xor_"))
+            grown = [getattr(c.aig, gate)(lit, other) for c in pair]
+            assert grown[0] == grown[1]
+            lits.append(grown[0])
+        elif action < 0.5:
+            grown = [c.aig.new_input() for c in pair]
+            assert grown[0] == grown[1]
+            lits.append(grown[0])
+        elif action < 0.53:
+            frame = rng.choice((None, 0, 1, 2))
+            for context in pair:
+                context.assert_lit(lit, frame=frame)
+        elif action < 0.65:
+            for context in pair:
+                context.mapper.freeze_lit(lit)
+        elif action < 0.78:
+            for context in pair:
+                context.mapper.assumption(lit)
+        else:
+            assumptions = [rng.choice(lits) ^ rng.randrange(2)
+                           for _ in range(rng.randrange(4))]
+            limit = rng.choice((None, None, 1, 2, 5))
+            outcomes = [c.solve(assumptions=assumptions,
+                                conflict_limit=limit) for c in pair]
+            assert outcomes[0] == outcomes[1]
+            assert_same_after_solve(pair, outcomes[0])
+            solves += 1
+    assert recorded_formula(ctx) == recorded_formula(ref)
+    return solves
+
+
+@pytest.mark.parametrize("simplify", [True, False],
+                         ids=["simplifying", "plain"])
+def test_on_demand_solver_matches_eager_proxy(simplify, monkeypatch):
+    resurrected = []
+    resurrect = SimplifyingSolver._resurrect
+
+    def counting(self, var):
+        resurrected.append(var)
+        return resurrect(self, var)
+
+    monkeypatch.setattr(SimplifyingSolver, "_resurrect", counting)
+    solves = 0
+    for seed in range(40 * FUZZ_SCALE):
+        pair = (SatContext(simplify=simplify), eager_context(simplify))
+        solves += run_solve_session(pair, seed)
+    assert solves > 0
+    if simplify:
+        # Growth after a simplifying solve really brought eliminated
+        # variables back.
+        assert resurrected
+
+
+@pytest.mark.parametrize("simplify", [True, False],
+                         ids=["simplifying", "plain"])
+def test_out_of_range_literals_raise_when_recorded(simplify):
+    for make in (lambda: SatContext(simplify=simplify),
+                 lambda: eager_context(simplify)):
+        ctx = make()
+        ctx.mapper.assumption(ctx.aig.new_input())
+        log = ctx.solver
+        for clause in ([2], [1, -2], [0]):
+            with pytest.raises(FormalError, match=f"literal {clause[-1]} "
+                               "references an unknown variable"):
+                log.add_clause(clause)
+        if simplify:
+            for var in (2, 0):
+                with pytest.raises(FormalError,
+                                   match=f"unknown variable {var}"):
+                    log.freeze_var(var)
+        else:
+            assert not hasattr(log, "freeze_var")
+
+
+def test_engine_run_builds_no_in_place_solver(monkeypatch):
+    """An obligation-engine methodology run only exports frames, so its
+    model's clause log never builds a solver."""
+    from repro.core import UpecMethodology, UpecScenario, methodology
+    from repro.engine import ProofEngine
+    from repro.soc import SocConfig, build_soc
+    from repro.soc.config import FORMAL_CONFIG_KWARGS
+
+    models = []
+
+    class RecordingModel(methodology.UpecModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(methodology, "UpecModel", RecordingModel)
+    soc = build_soc(SocConfig.orc(**FORMAL_CONFIG_KWARGS))
+    with ProofEngine(jobs=1) as engine:
+        result = UpecMethodology(soc, UpecScenario(secret_in_cache=True),
+                                 engine=engine).run(k=2)
+    assert result.verdict == "insecure"
+    (model,) = models
+    log = model.context.solver
+    assert log.clauses and log.inner is None

@@ -113,12 +113,26 @@ def test_parser_requires_command():
 @pytest.mark.parametrize("argv", [
     ["methodology", "secure", "--bogus-flag"],
     ["check", "secure", "--k", "x"],
-], ids=["unknown-flag", "non-integer-k"])
+    ["attack", "orc", "secure", "--secret", "zz"],
+    ["attack", "orc", "secure", "--secret", "999"],
+    ["attack", "meltdown", "secure", "--secret", "-1"],
+], ids=["unknown-flag", "non-integer-k", "non-integer-secret",
+        "secret-above-255", "negative-secret"])
 def test_parse_errors_exit_64_not_the_insecure_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 64
     assert "error:" in capsys.readouterr().err
+
+
+def test_attack_secret_reads_any_base():
+    parser = build_parser()
+    for text in ("107", "0x6B", "0b1101011", "0o153"):
+        assert parser.parse_args(
+            ["attack", "orc", "secure", "--secret", text]).secret == 0x6B
+    assert parser.parse_args(["attack", "orc", "secure"]).secret == 0x6B
+    assert parser.parse_args(
+        ["attack", "orc", "secure", "--secret", "255"]).secret == 255
 
 
 def test_help_exits_0(capsys):
@@ -187,8 +201,10 @@ def test_sweep_command(capsys):
     assert "insecure" in out
 
 
-def test_sweep_rejects_unknown_variant(capsys):
-    rc = main(["sweep", "--variants", "nope"])
+@pytest.mark.parametrize("variants", ["nope", "", ","],
+                         ids=["unknown", "empty", "only-commas"])
+def test_sweep_rejects_unknown_variant(variants, capsys):
+    rc = main(["sweep", "--variants", variants])
     assert rc == 64
 
 

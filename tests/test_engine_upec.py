@@ -171,6 +171,25 @@ def test_obligation_stream_is_pinned():
         (3, "dc20a66427be94cc")
 
 
+@pytest.mark.parametrize("variant", ["orc", "secure"])
+def test_incremental_methodology_is_pinned(variant):
+    """The exact outcome of one flagless (incremental, in-context
+    solver) methodology run: its signature with every alert's witness
+    and its full stats dict.  ``orc`` maps new cones between its six
+    solves and ``secure`` runs an 8,363-conflict UNSAT search, so a
+    change to how the context feeds or builds its solver that alters
+    any answer, model or counter moves this digest."""
+    result = UpecMethodology(SOCS[variant], SCENARIO, engine=None).run(k=2)
+    digest = hashlib.sha256(json.dumps(
+        [_methodology_signature(result), sorted(result.stats.items())]
+    ).encode()).hexdigest()[:16]
+    expected = {
+        "orc": (6, "47335fc7bd9b184a"),
+        "secure": (2, "5625a6a5fa7a2a50"),
+    }
+    assert (result.iterations, digest) == expected[variant]
+
+
 # ----------------------------------------------------------------------
 # Persistent proof cache
 # ----------------------------------------------------------------------
