@@ -76,13 +76,16 @@ _ORPHAN_TTL_S = 3600.0
 _SAVE_EVERY = 16
 
 
+def _canonical(body: Dict[str, Any]) -> str:
+    """The canonical serialization: sorted keys, no whitespace."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
 def _payload_crc(payload: Dict[str, Any]) -> int:
     """CRC32 over the canonical serialization of an entry's payload
     (the ``crc32`` field itself excluded)."""
     body = {key: value for key, value in payload.items() if key != "crc32"}
-    encoded = json.dumps(body, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return zlib.crc32(encoded)
+    return zlib.crc32(_canonical(body).encode("utf-8"))
 
 
 def _env_max_bytes() -> Optional[int]:
@@ -372,9 +375,12 @@ class ResultCache:
         self._write_entry(verdict.fingerprint, payload)
 
     def _write_entry(self, key: str, payload: Dict[str, Any]) -> None:
-        payload = dict(payload)
-        payload["crc32"] = _payload_crc(payload)
-        encoded = json.dumps(payload)
+        # The file is the canonical body that ``_payload_crc`` hashes,
+        # with the checksum spliced in as its first key: one encoding.
+        body = _canonical(payload)
+        crc = zlib.crc32(body.encode("utf-8"))
+        encoded = '{"crc32":%d' % crc + ("," if len(body) > 2 else "") \
+            + body[1:]
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

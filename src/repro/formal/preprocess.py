@@ -13,6 +13,16 @@ Replaying the stack in reverse extends any model of the simplified formula
 to a model of the original one (Järvisalo & Biere style reconstruction),
 so witness extraction over the full variable set keeps working.
 
+A pass is deterministic: the database, units, stack and counters it
+returns, and the subsumption budget it leaves, are pinned by tests.
+:class:`Simplifier` gets there in few interpreter steps by leaning on
+three invariants (its docstring gives the details): a stored clause never
+mentions a variable twice; the subsumption budget is charged for every
+occurrence that passes the signature and length tests, before the stale
+test, and read only between clauses and literals; and a clause that
+strengthens another to a unit contains that unit, so it is removed
+rather than shrunk in the middle of its own scan.
+
 :class:`SimplifyingSolver` is a drop-in :class:`CdclSolver` facade: clauses
 are buffered, simplified on the first solve, and re-simplified whenever the
 incremental UPEC flow has grown the formula enough to pay for another pass
@@ -24,7 +34,8 @@ sound.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import FormalError
 from repro.formal.solver import CdclSolver
@@ -105,6 +116,32 @@ class Simplifier:
 
     All work is budgeted so a pass stays roughly linear in the formula
     size; the budgets are counted in literal visits.
+
+    ``occ`` is indexed by the literal itself: a negative literal indexes
+    from the end of its ``2 * nvars + 1`` lists.  The lists keep stale
+    entries (clauses since removed or strengthened) until
+    :meth:`_occurrences` cleans one, and their raw lengths order the
+    elimination candidates, so every pass reads them as they are.
+
+    Three invariants let the passes take shortcuts without changing a
+    decision:
+
+    1. A stored clause never mentions a variable twice.  Input clauses
+       are deduplicated, tautologies and tautological resolvents are
+       dropped, and literals are only ever removed.  So list membership
+       answers what a set would, and a resolvent needs no duplicate or
+       tautology check within either of its halves.
+    2. ``subsume_budget`` is charged ``len(other)`` for every occurrence
+       entry that passes the signature and length tests, before the
+       stale test.  It is read only before each clause of a subsumption
+       round and after each literal of the self-subsumption loop, so
+       :meth:`_backward` keeps it in a local and writes it back at every
+       exit.
+    3. When a clause C strengthens another clause to a unit by
+       self-subsuming resolution, C contains that unit (C minus the
+       resolved literal is a subset of the unit).  :meth:`_assign_unit`
+       therefore removes C rather than shrinking it, so C's length and
+       signature cannot change in the middle of its scans.
     """
 
     def __init__(
@@ -136,7 +173,8 @@ class Simplifier:
         self.assign: Dict[int, bool] = {}        # top-level assignments
         self.clauses: List[Optional[List[int]]] = []
         self.sigs: List[int] = []
-        self.occ: Dict[int, List[int]] = {}      # literal -> clause indices
+        #: literal -> clause indices (see the class docstring)
+        self.occ: List[List[int]] = [[] for _ in range(2 * nvars + 1)]
         self.stack: List[ReconstructionEntry] = []
         self.eliminated: Dict[int, List[ReconstructionEntry]] = {}
         for clause in clauses:
@@ -179,13 +217,16 @@ class Simplifier:
         self._store(clause)
         return True
 
-    def _store(self, clause: List[int]) -> int:
-        ci = len(self.clauses)
-        self.clauses.append(clause)
-        self.sigs.append(_sig(clause))
+    def _store(self, clause: List[int]) -> None:
+        clauses = self.clauses
+        ci = len(clauses)
+        clauses.append(clause)
+        occ = self.occ
+        sig = 0
         for lit in clause:
-            self.occ.setdefault(lit, []).append(ci)
-        return ci
+            sig |= 1 << (lit & 63)
+            occ[lit].append(ci)
+        self.sigs.append(sig)
 
     # ------------------------------------------------------------------
     # Top-level unit propagation
@@ -194,20 +235,23 @@ class Simplifier:
         """Fix a literal at the top level; returns False on conflict."""
         todo = [lit]
         clauses = self.clauses
+        sigs = self.sigs
+        occ = self.occ
+        assign = self.assign
         while todo:
             l = todo.pop()
             var = abs(l)
             sign = l > 0
-            prev = self.assign.get(var)
+            prev = assign.get(var)
             if prev is not None:
                 if prev != sign:
                     return False
                 continue
-            self.assign[var] = sign
+            assign[var] = sign
             self.stats.units_fixed += 1
-            for ci in self.occ.get(l, ()):      # satisfied clauses
+            for ci in occ[l]:                   # satisfied clauses
                 clauses[ci] = None
-            for ci in self.occ.get(-l, ()):     # falsified literal
+            for ci in occ[-l]:                  # falsified literal
                 clause = clauses[ci]
                 if clause is None:
                     continue
@@ -215,7 +259,7 @@ class Simplifier:
                     clause.remove(-l)
                 except ValueError:
                     continue  # stale occurrence
-                self.sigs[ci] = _sig(clause)
+                sigs[ci] = _sig(clause)
                 if not clause:
                     return False
                 if len(clause) == 1:
@@ -227,14 +271,15 @@ class Simplifier:
     # ------------------------------------------------------------------
     def _subsume_round(self) -> bool:
         changed = False
+        clauses = self.clauses
         order = sorted(
-            (ci for ci, c in enumerate(self.clauses) if c is not None),
-            key=lambda ci: len(self.clauses[ci]),  # type: ignore[arg-type]
+            (ci for ci, c in enumerate(clauses) if c is not None),
+            key=lambda ci: len(clauses[ci]),  # type: ignore[arg-type]
         )
         for ci in order:
             if self.subsume_budget <= 0 or not self.ok:
                 break
-            if self.clauses[ci] is None:
+            if clauses[ci] is None:
                 continue
             if self._backward(ci):
                 changed = True
@@ -242,50 +287,62 @@ class Simplifier:
 
     def _backward(self, ci: int) -> bool:
         """Remove clauses subsumed by ``ci``; strengthen near-subsumed
-        ones by self-subsuming resolution."""
+        ones by self-subsuming resolution (invariants 2 and 3 of the
+        class docstring keep the budget and ``ci``'s clause in locals)."""
         clauses = self.clauses
         sigs = self.sigs
+        occ = self.occ
         clause = clauses[ci]
         assert clause is not None
+        size = len(clause)
+        sig = sigs[ci]
+        budget = self.subsume_budget
         changed = False
-        # Backward subsumption via the least-occurring literal.
-        best = min(clause, key=lambda l: len(self.occ.get(l, ())))
-        for di in self.occ.get(best, ()):
-            if di == ci:
+        # Backward subsumption via the first least-occurring literal.
+        best = clause[0]
+        fewest = len(occ[best])
+        for l in clause:
+            n = len(occ[l])
+            if n < fewest:
+                best = l
+                fewest = n
+        for di in occ[best]:
+            if sig & sigs[di] != sig or di == ci:
                 continue
             other = clauses[di]
-            if other is None or len(other) < len(clause):
+            if other is None or len(other) < size:
                 continue
-            if sigs[ci] & ~sigs[di]:
-                continue
-            self.subsume_budget -= len(other)
-            other_set = set(other)
-            if best not in other_set:
+            budget -= len(other)
+            if best not in other:
                 continue  # stale occurrence
-            if all(l in other_set for l in clause):
+            for l in clause:
+                if l not in other:
+                    break
+            else:
                 clauses[di] = None
                 self.stats.clauses_subsumed += 1
                 changed = True
         # Self-subsuming resolution: clause = (l | A) strengthens any
         # (~l | A | B) to (A | B).
-        for l in list(clause):
+        for l in clause:
             if clauses[ci] is not clause:
                 break
-            need = sigs[ci] & ~(1 << (l & 63))
-            for di in self.occ.get(-l, ()):
-                if di == ci:
+            need = sig & ~(1 << (l & 63))
+            neg = -l
+            for di in occ[neg]:
+                if need & sigs[di] != need or di == ci:
                     continue
                 other = clauses[di]
-                if other is None or len(other) < len(clause):
+                if other is None or len(other) < size:
                     continue
-                if need & ~sigs[di]:
-                    continue
-                self.subsume_budget -= len(other)
-                other_set = set(other)
-                if -l not in other_set:
+                budget -= len(other)
+                if neg not in other:
                     continue  # stale occurrence
-                if all(q in other_set for q in clause if q != l):
-                    other.remove(-l)
+                for q in clause:
+                    if q != l and q not in other:
+                        break
+                else:
+                    other.remove(neg)
                     sigs[di] = _sig(other)
                     self.stats.literals_strengthened += 1
                     changed = True
@@ -294,9 +351,11 @@ class Simplifier:
                         clauses[di] = None
                         if not self._assign_unit(unit):
                             self.ok = False
+                            self.subsume_budget = budget
                             return changed
-            if self.subsume_budget <= 0:
+            if budget <= 0:
                 break
+        self.subsume_budget = budget
         return changed
 
     # ------------------------------------------------------------------
@@ -333,9 +392,10 @@ class Simplifier:
         val: Dict[int, bool] = {abs(lit): lit > 0}
         queue = [lit]
         clauses = self.clauses
+        occ = self.occ
         while queue:
             p = queue.pop()
-            for ci in self.occ.get(-p, ()):
+            for ci in occ[-p]:
                 clause = clauses[ci]
                 if clause is None:
                     continue
@@ -367,31 +427,22 @@ class Simplifier:
     # ------------------------------------------------------------------
     def _occurrences(self, lit: int) -> List[int]:
         """Clause indices currently containing ``lit`` (cleans the list)."""
-        alive = []
-        for ci in self.occ.get(lit, ()):
-            clause = self.clauses[ci]
-            if clause is not None and lit in clause:
-                alive.append(ci)
-        if lit in self.occ:
-            self.occ[lit] = alive
+        clauses = self.clauses
+        alive = [ci for ci in self.occ[lit]
+                 if (clause := clauses[ci]) is not None and lit in clause]
+        self.occ[lit] = alive
         return alive
 
-    @staticmethod
-    def _resolve(c1: Sequence[int], c2: Sequence[int],
-                 var: int) -> Optional[List[int]]:
-        result = [l for l in c1 if abs(l) != var]
-        seen = set(result)
-        for l in c2:
-            if abs(l) == var:
-                continue
-            if -l in seen:
-                return None  # tautology
-            if l not in seen:
-                seen.add(l)
-                result.append(l)
-        return result
-
     def _try_eliminate(self, var: int) -> bool:
+        """Eliminate ``var`` by clause distribution, unless the
+        occurrence limits, a resolvent longer than ``resolvent_limit`` or
+        more distinct resolvents than removed clauses forbid it.
+
+        Each side's clauses are stripped of ``var`` or ``-var`` once.  A
+        resolvent is the stripped positive clause followed by the
+        stripped negative clause's literals it lacks; by invariant 1 it
+        is a tautology iff the negative clause holds the negation of one
+        of its literals."""
         if var in self.frozen or var in self.assign or var in self.eliminated:
             return False
         pos = self._occurrences(var)
@@ -401,26 +452,35 @@ class Simplifier:
         clauses = self.clauses
         resolvents: List[List[int]] = []
         if pos and neg:
-            if min(len(pos), len(neg)) > self.occ_limit:
+            occ_limit = self.occ_limit
+            if min(len(pos), len(neg)) > occ_limit:
                 return False
-            if len(pos) * len(neg) > 4 * self.occ_limit * self.occ_limit:
+            if len(pos) * len(neg) > 4 * occ_limit * occ_limit:
                 return False
             limit = len(pos) + len(neg)
-            dedup: Set[Tuple[int, ...]] = set()
+            resolvent_limit = self.resolvent_limit
+            dedup: Set[FrozenSet[int]] = set()
+            nvar = -var
+            seconds = [[l for l in clauses[cj] if l != nvar] for cj in neg]
             for ci in pos:
-                for cj in neg:
-                    r = self._resolve(clauses[ci], clauses[cj], var)
-                    if r is None:
-                        continue
-                    if len(r) > self.resolvent_limit:
-                        return False
-                    key = tuple(sorted(r))
-                    if key in dedup:
-                        continue
-                    dedup.add(key)
-                    resolvents.append(r)
-                    if len(resolvents) > limit:
-                        return False
+                first = [l for l in clauses[ci] if l != var]
+                for second in seconds:
+                    r = first[:]
+                    for l in second:
+                        if -l in first:
+                            break           # tautology
+                        if l not in first:
+                            r.append(l)
+                    else:
+                        if len(r) > resolvent_limit:
+                            return False
+                        key = frozenset(r)
+                        if key in dedup:
+                            continue
+                        dedup.add(key)
+                        resolvents.append(r)
+                        if len(resolvents) > limit:
+                            return False
         else:
             self.stats.pure_literals += 1
         # Commit: record removed clauses for model reconstruction.
@@ -445,14 +505,15 @@ class Simplifier:
         return True
 
     def _eliminate_round(self) -> bool:
-        def weight(v: int) -> int:
-            return (len(self.occ.get(v, ())) + len(self.occ.get(-v, ())))
-
+        occ = self.occ
+        assign = self.assign
+        eliminated = self.eliminated
+        frozen = self.frozen
         order = sorted(
             (v for v in range(1, self.nvars + 1)
-             if v not in self.assign and v not in self.eliminated
-             and v not in self.frozen),
-            key=weight,
+             if v not in assign and v not in eliminated
+             and v not in frozen),
+            key=lambda v: len(occ[v]) + len(occ[-v]),
         )
         changed = False
         for v in order:
@@ -665,9 +726,9 @@ class SimplifyingSolver:
         deadline: Optional[float] = None,
     ) -> Optional[bool]:
         self.stop_reason: Optional[str] = None
+        self._model = None
         if not self._ok:
             return False
-        self._model = None
         for a in assumptions:
             self._check_lit(a)
             var = abs(a)

@@ -415,6 +415,33 @@ def test_cache_legacy_entry_without_crc_still_served(tmp_path):
     assert legacy.quarantined == 0
 
 
+def test_cache_entry_is_its_payload_plus_crc(tmp_path):
+    """A verdict entry and a warm-start entry each parse to exactly the
+    payload that was stored, plus a ``crc32`` of that payload."""
+    import json as json_mod
+
+    from repro.engine.cache import _payload_crc
+
+    ob = _obligation([[1, 2], [-1, 2]], nvars=4)
+    verdict = solve_obligation(ob)
+    warm = {"nvars": 4, "clauses": [[2]], "stack": [[1, [1, -2]]]}
+    cache = ResultCache(str(tmp_path))
+    cache.store(ob, verdict)
+    cache.store_simplified(ob.fingerprint(), warm)
+    stored = {
+        f"{ob.fingerprint()}.json": {
+            "verdict": verdict.to_dict(), "meta": ob.meta,
+            "size": ob.size(),
+        },
+        f"{ob.fingerprint()}.simp.json": {"simplified": warm},
+    }
+    for name, payload in stored.items():
+        entry = json_mod.loads((tmp_path / name).read_text())
+        crc = entry.pop("crc32")
+        assert entry == json_mod.loads(json_mod.dumps(payload))
+        assert crc == _payload_crc(payload)
+
+
 def test_cache_index_not_counted_and_not_served(tmp_path):
     cache = ResultCache(str(tmp_path))
     ob = _obligation([[1, 2]])

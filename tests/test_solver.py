@@ -170,6 +170,12 @@ def test_model_cleared_by_a_non_sat_answer(factory):
     # The earlier model violates the assumptions just refuted.
     with pytest.raises(FormalError):
         solver.model_value(1)
+    # An empty clause makes the formula UNSAT: no model may outlive it.
+    assert solver.solve() is True
+    solver.add_clause([])
+    assert solver.solve() is False
+    with pytest.raises(FormalError):
+        solver.model_value(1)
 
 
 def test_model_vector():
