@@ -4,10 +4,12 @@ Not a paper table — these quantify the substrate the UPEC runtimes rest
 on (our pure-Python CDCL vs. the paper's commercial checker), so the
 absolute runtime differences in Tab. I/II are interpretable.
 
-The ``preprocess`` and ``upec-sat`` groups pair each instance family with
-a raw-CNF and a simplified run, so the payoff of the SatELite-style
-pre-/inprocessor (``repro.formal.preprocess``) is measured directly on
-the clause shapes the engine actually emits.
+The ``preprocess`` group pairs each instance family with a raw-CNF
+(``CdclSolver``) and a simplified (``SimplifyingSolver``) run, so the
+payoff of the SatELite-style pre-/inprocessor (``repro.formal.preprocess``)
+is measured directly on the clause shapes the engine actually emits.
+The ``upec-sat`` group times the flagship methodology, which always
+preprocesses.
 """
 
 import random
@@ -191,11 +193,9 @@ def test_solver_padded_pigeonhole(benchmark, solver_cls):
 
 
 @pytest.mark.benchmark(group="upec-sat")
-@pytest.mark.parametrize("simplify", [False, True],
-                         ids=["raw", "preprocessed"])
-def test_upec_methodology_sat_cost(benchmark, simplify):
+def test_upec_methodology_sat_cost(benchmark):
     """The flagship workload: the full Fig.-5 methodology on the secure
-    design (Tab. I, D in cache) with and without CNF simplification."""
+    design (Tab. I, D in cache) on the incremental in-context solver."""
     from repro.core import UpecMethodology, UpecScenario
     from repro.soc.config import FORMAL_CONFIG_KWARGS
 
@@ -203,8 +203,7 @@ def test_upec_methodology_sat_cost(benchmark, simplify):
 
     def run():
         result = UpecMethodology(
-            soc, UpecScenario(secret_in_cache=True), simplify=simplify,
-            engine=None,
+            soc, UpecScenario(secret_in_cache=True), engine=None,
         ).run(k=2)
         assert result.verdict == "secure_bounded"
 

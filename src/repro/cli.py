@@ -15,7 +15,6 @@ Commands
 The solver-backed commands (``check``, ``methodology``, ``sweep``)
 uniformly accept:
 
-``--no-preprocess``   disable the SatELite-style CNF pre-/inprocessor
 ``--stats``           print solver / simplifier / engine counters
                       (including slice reduction ratios)
 ``--json``            machine-readable result on stdout
@@ -32,7 +31,8 @@ uniformly accept:
 
 Without ``--jobs``, ``--cache-dir`` or ``--connect`` the frames are
 solved on the incremental in-context solver; any of the three routes
-them through the obligation engine.
+them through the obligation engine.  Either way every search runs on a
+CNF simplified by the SatELite-style preprocessor first.
 
 ``attack`` takes ``--stats`` (timing-series counters) and ``--json``
 as well; it has no SAT solver, so the solver flags do not apply.
@@ -117,8 +117,6 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     """The uniform solver/engine flag set of every SAT-backed command."""
-    parser.add_argument("--no-preprocess", action="store_true",
-                        help="solve the raw Tseitin CNF (no simplification)")
     parser.add_argument("--conflict-limit", type=int, default=None)
     parser.add_argument("--wall-budget", type=float, default=None,
                         metavar="SECONDS",
@@ -259,7 +257,7 @@ def cmd_check(args) -> int:
     engine = _engine_from_args(args)
     soc = _build(args.variant, "formal")
     scenario = UpecScenario(secret_in_cache=not args.uncached)
-    model = UpecModel(soc, scenario, simplify=not args.no_preprocess)
+    model = UpecModel(soc, scenario)
     with _closing(engine):
         result = UpecChecker(model, engine=engine).check(
             k=args.k, conflict_limit=args.conflict_limit,
@@ -286,7 +284,6 @@ def cmd_methodology(args) -> int:
         result = UpecMethodology(
             soc, scenario,
             conflict_limit=args.conflict_limit,
-            simplify=not args.no_preprocess,
             engine=engine,
             wall_budget=args.wall_budget,
         ).run(k=args.k)
@@ -326,7 +323,6 @@ def cmd_sweep(args) -> int:
         k=args.k,
         cached=args.scenarios in ("cached", "both"),
         uncached=args.scenarios in ("uncached", "both"),
-        simplify=not args.no_preprocess,
         conflict_limit=args.conflict_limit,
         cache_dir=args.cache_dir,
         connect=connect,

@@ -104,12 +104,10 @@ class InductiveDiffProof:
         soc: Soc,
         scenario: UpecScenario,
         invariant: Sequence[CondEq],
-        simplify: bool = True,
         engine=None,
     ) -> None:
         self.soc = soc
         self.scenario = scenario
-        self.simplify = simplify
         self.engine = engine
         self.invariant = list(invariant)
         domain = {entry.reg for entry in self.invariant}
@@ -148,8 +146,7 @@ class InductiveDiffProof:
         cond_eq: Dict[Reg, Optional[Expr]] = {
             entry.reg: entry.cond for entry in self.invariant
         }
-        model = UpecModel(soc, self.scenario, cond_eq=cond_eq,
-                          simplify=self.simplify)
+        model = UpecModel(soc, self.scenario, cond_eq=cond_eq)
         model.assume_window(1)
         context = model.context
         aig = context.aig

@@ -98,7 +98,6 @@ class UpecMethodology:
         soc: Soc,
         scenario: UpecScenario,
         conflict_limit: Optional[int] = None,
-        simplify: bool = True,
         engine=None,
         wall_budget: Optional[float] = None,
     ) -> None:
@@ -109,7 +108,6 @@ class UpecMethodology:
         #: a frame that exhausts it yields a distinguishable "timeout"
         #: verdict instead of an open-ended solve.
         self.wall_budget = wall_budget
-        self.simplify = simplify
         self.engine = engine
 
     def _stats(self, model: UpecModel) -> Dict[str, int]:
@@ -124,7 +122,7 @@ class UpecMethodology:
         start = time.perf_counter()
         self._engine_since = self.engine.stats() if self.engine is not None \
             else None
-        model = UpecModel(self.soc, self.scenario, simplify=self.simplify)
+        model = UpecModel(self.soc, self.scenario)
         checker = UpecChecker(model, engine=self.engine)
         commitment: List[Reg] = model.default_commitment()
         p_alerts: List[Alert] = []

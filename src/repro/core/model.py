@@ -81,11 +81,10 @@ class UpecModel:
         scenario: UpecScenario,
         extra_diff_regs: Iterable[Reg] = (),
         cond_eq: Optional[Dict[Reg, Optional[Expr]]] = None,
-        simplify: bool = True,
     ) -> None:
         self.soc = soc
         self.scenario = scenario
-        self.context = SatContext(simplify=simplify)
+        self.context = SatContext()
         self.cond_eq = dict(cond_eq or {})
 
         diff_seed = {soc.secret_mem_reg}

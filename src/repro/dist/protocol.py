@@ -246,7 +246,6 @@ def obligation_to_wire(obligation: ProofObligation) -> Dict[str, Any]:
         "clauses": [list(c) for c in obligation.clauses],
         "assumptions": list(obligation.assumptions),
         "frozen": list(obligation.frozen),
-        "simplify": bool(obligation.simplify),
         "conflict_limit": obligation.conflict_limit,
         "wall_budget": obligation.wall_budget,
         "meta": dict(obligation.meta),
@@ -254,6 +253,10 @@ def obligation_to_wire(obligation: ProofObligation) -> Dict[str, Any]:
 
 
 def obligation_from_wire(data: Dict[str, Any]) -> ProofObligation:
+    """Inverse of :func:`obligation_to_wire`.  Unknown keys are ignored,
+    among them the preprocessing flag older clients send: a verdict
+    holds for its formula whether or not the formula was
+    preprocessed."""
     try:
         return ProofObligation(
             name=str(data["name"]),
@@ -261,7 +264,6 @@ def obligation_from_wire(data: Dict[str, Any]) -> ProofObligation:
             clauses=[list(map(int, c)) for c in data["clauses"]],
             assumptions=list(map(int, data["assumptions"])),
             frozen=list(map(int, data.get("frozen", ()))),
-            simplify=bool(data.get("simplify", True)),
             conflict_limit=data.get("conflict_limit"),
             wall_budget=data.get("wall_budget"),
             meta=dict(data.get("meta", {})),

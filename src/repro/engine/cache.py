@@ -402,9 +402,11 @@ class ResultCache:
     # ------------------------------------------------------------------
     def store_simplified(self, fingerprint: str,
                          payload: Dict[str, Any]) -> None:
-        """Persist an obligation's simplified clause database (see
-        ``SimplifyingSolver.export_simplified``) under a sibling key of
-        its verdict entry; subject to the same LRU byte cap."""
+        """Persist the snapshot a cold ``solve_obligation`` searched —
+        ``{"nvars", "clauses", "stack"}``: the units and simplified
+        clauses, and the model-reconstruction entries as ``[witness
+        literal, clause]`` pairs — under a sibling key of the
+        obligation's verdict entry; subject to the same LRU byte cap."""
         self._write_entry(fingerprint + _SIMP_SUFFIX,
                           {"simplified": payload})
 

@@ -19,10 +19,11 @@ import hashlib
 import time
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FormalError
-from repro.formal.preprocess import SimplifyingSolver, reconstruct_model
+from repro.formal.preprocess import (PASS_SETTINGS, Simplifier, SimplifyStats,
+                                     reconstruct_model)
 from repro.formal.solver import CdclSolver
 
 SAT = "sat"
@@ -81,7 +82,6 @@ class ProofObligation:
     clauses: List[List[int]]
     assumptions: List[int]
     frozen: List[int] = field(default_factory=list)
-    simplify: bool = True
     conflict_limit: Optional[int] = None
     #: Wall-clock budget in seconds for one solve attempt; exhausting it
     #: yields a :data:`TIMEOUT` verdict.  Like ``conflict_limit`` it is
@@ -92,13 +92,15 @@ class ProofObligation:
     remap: Optional[List[int]] = None   # new var -> original var (0 unused)
 
     def fingerprint(self) -> str:
-        """Content hash of the formula (clauses + assumptions + frozen set
-        + solver configuration).  The conflict limit, the metadata and the
-        slice remap are all excluded: a definite sat/unsat verdict is
-        valid under any limit, and the remap is context bookkeeping that
-        does not change what is being proved."""
+        """Content hash of the formula (clauses + assumptions + frozen
+        set).  The conflict limit, the metadata and the slice remap are
+        all excluded: a definite sat/unsat verdict is valid under any
+        limit, and the remap is context bookkeeping that does not change
+        what is being proved.  The constant ``b"1"`` stands where a
+        preprocessing flag used to be hashed, so fingerprints (and the
+        cache entries keyed by them) are those of preprocessed solves."""
         h = hashlib.sha256(_FINGERPRINT_SALT)
-        h.update(b"1" if self.simplify else b"0")
+        h.update(b"1")
         h.update(array("q", [self.nvars]).tobytes())
         for clause in self.clauses:
             h.update(array("q", clause).tobytes())
@@ -203,20 +205,37 @@ def _verdict_from_outcome(obligation: ProofObligation, fingerprint: str,
     )
 
 
-def _solve_warm(obligation: ProofObligation, fingerprint: str,
-                warm: Dict[str, Any], start: float,
-                cancel_check=None,
-                deadline: Optional[float] = None) -> Optional[Verdict]:
-    """Solve on a cached post-simplification clause database.
+def _frozen_vars(obligation: ProofObligation) -> Set[int]:
+    """The variables the pass must keep: the frozen set and every
+    assumption's variable.  Raises :class:`FormalError` on one out of
+    range."""
+    nvars = obligation.nvars
+    frozen = set(obligation.frozen)
+    for var in frozen:
+        if not 0 < var <= nvars:
+            raise FormalError(f"unknown variable {var}")
+    for lit in obligation.assumptions:
+        if not (lit and -nvars <= lit <= nvars):
+            raise FormalError(
+                f"literal {lit} references an unknown variable")
+        frozen.add(abs(lit))
+    return frozen
 
-    The simplified formula is equisatisfiable with the obligation's CNF
-    under its (frozen, hence preserved) assumptions, and the search on
-    it is exactly the search the cold path's inner CDCL solver would
-    run after re-simplifying from scratch — warm and cold verdicts are
-    bit-identical, the preprocessing pass is just skipped.  Returns
-    None when the payload does not fit the obligation (the cold path
-    then runs as usual).
-    """
+
+def _load(nvars: int, clauses: List[List[int]]) -> Tuple[CdclSolver, bool]:
+    """A fresh CDCL solver holding ``clauses``; the flag is False when
+    loading them already refutes the formula."""
+    solver = CdclSolver()
+    for _ in range(nvars):
+        solver.new_var()
+    return solver, solver.add_clauses(clauses)
+
+
+def _load_warm(obligation: ProofObligation,
+               warm: Dict[str, Any]) -> Optional[Tuple[CdclSolver, list]]:
+    """The solver and reconstruction stack of a cached snapshot, or None
+    when the payload does not fit the obligation (the cold path then
+    runs, as on any other cache corruption)."""
     try:
         nvars = int(warm["nvars"])
         clauses = [[int(lit) for lit in clause]
@@ -234,15 +253,20 @@ def _solve_warm(obligation: ProofObligation, fingerprint: str,
         if not 1 <= abs(lit) <= nvars or \
                 any(q == 0 or abs(q) > nvars for q in clause):
             return None
-    solver = CdclSolver()
-    for _ in range(nvars):
-        solver.new_var()
     try:
-        solver.add_clauses(clauses)
+        solver, _loaded = _load(nvars, clauses)
     except FormalError:
-        # A corrupted warm entry (out-of-range literal) degrades to the
-        # cold path, exactly like any other cache corruption.
         return None
+    return solver, stack
+
+
+def _search(obligation: ProofObligation, fingerprint: str,
+            solver: CdclSolver, stack: list, extra: Dict[str, int],
+            start: float, cancel_check=None,
+            deadline: Optional[float] = None) -> Verdict:
+    """Search a loaded snapshot under the obligation's assumptions; a
+    model is extended over the eliminated variables by ``stack``.
+    ``extra`` joins the search counters in the verdict's stats."""
     outcome = solver.solve(
         assumptions=obligation.assumptions,
         conflict_limit=obligation.conflict_limit,
@@ -250,7 +274,7 @@ def _solve_warm(obligation: ProofObligation, fingerprint: str,
         deadline=deadline,
     )
     stats = solver.stats.as_dict()
-    stats["simplify_warm_starts"] = 1
+    stats.update(extra)
     model: Optional[bytes] = None
     if outcome is True:
         model = pack_model(reconstruct_model(solver.model(), stack))
@@ -264,11 +288,20 @@ def solve_obligation(obligation: ProofObligation,
     """Solve one obligation on a fresh solver (pure; picklable for
     worker processes).
 
-    ``simp_cache`` (a :class:`repro.engine.cache.ResultCache`) enables
-    warm starts: the post-BVE simplified clause database is looked up —
-    and, after a cold solve, stored — under the obligation's own
-    fingerprint, so repeat solves of the same obligation skip the
-    preprocessing pass entirely.
+    A cold solve runs one SatELite-style pass (:class:`Simplifier`, with
+    :data:`~repro.formal.preprocess.PASS_SETTINGS`) over the
+    obligation's clauses, keeping the frozen set and the assumption
+    variables, and searches the resulting *snapshot*: the nvars, the
+    units plus the simplified clauses, and the model-reconstruction
+    stack.  ``simp_cache`` (a :class:`repro.engine.cache.ResultCache`)
+    enables warm starts: the snapshot is stored under the obligation's
+    own fingerprint, and a later solve of the same obligation looks it
+    up and searches it with the same code, skipping the pass — warm and
+    cold verdicts are bit-identical.
+
+    Out-of-range input (a literal or frozen variable outside
+    ``1..nvars``, or a zero literal) raises :class:`FormalError`, also
+    where the literal would not change the answer.
 
     ``cancel_check`` is polled inside the CDCL conflict loop (every
     :data:`repro.formal.solver.CANCEL_CHECK_EVERY` conflicts); returning
@@ -287,41 +320,32 @@ def solve_obligation(obligation: ProofObligation,
     deadline = None
     if obligation.wall_budget is not None and obligation.wall_budget > 0:
         deadline = time.monotonic() + obligation.wall_budget
+    frozen = _frozen_vars(obligation)
     fingerprint = obligation.fingerprint()
-    if simp_cache is not None and obligation.simplify:
+    if simp_cache is not None:
         warm = simp_cache.lookup_simplified(fingerprint)
-        if warm is not None:
-            verdict = _solve_warm(obligation, fingerprint, warm, start,
-                                  cancel_check=cancel_check,
-                                  deadline=deadline)
-            if verdict is not None:
-                return verdict
-    solver = SimplifyingSolver() if obligation.simplify else CdclSolver()
-    for _ in range(obligation.nvars):
-        solver.new_var()
-    freeze = getattr(solver, "freeze_var", None)
-    if freeze is not None:
-        for var in obligation.frozen:
-            freeze(var)
-    solver.add_clauses(obligation.clauses)
-    outcome = solver.solve(
-        assumptions=obligation.assumptions,
-        conflict_limit=obligation.conflict_limit,
-        cancel_check=cancel_check,
-        deadline=deadline,
-    )
-    stats = solver.stats.as_dict()
-    simp = getattr(solver, "simplify_stats", None)
-    if simp is not None:
-        for key, value in simp.as_dict().items():
-            stats[f"simplify_{key}"] = value
-    if simp_cache is not None and obligation.simplify:
-        exported = solver.export_simplified()
-        if exported is not None:
-            simp_cache.store_simplified(fingerprint, exported)
-    model: Optional[bytes] = None
-    if outcome is True:
-        model = pack_model(solver.model())
-    return _verdict_from_outcome(obligation, fingerprint, outcome, model,
-                                 stats, start,
-                                 stop_reason=solver.stop_reason)
+        loaded = _load_warm(obligation, warm) if warm is not None else None
+        if loaded is not None:
+            solver, stack = loaded
+            return _search(obligation, fingerprint, solver, stack,
+                           {"simplify_warm_starts": 1}, start,
+                           cancel_check=cancel_check, deadline=deadline)
+    simp_stats = SimplifyStats()
+    simp_stats.simplifications = 1
+    result = Simplifier(obligation.nvars, obligation.clauses, frozen=frozen,
+                        stats=simp_stats, **PASS_SETTINGS).run()
+    # A refuted pass leaves the empty clause: it fails to load, so
+    # nothing is stored and the search answers UNSAT at once.
+    clauses = [[unit] for unit in result.units] if result.ok else [[]]
+    clauses += result.clauses
+    solver, loaded = _load(obligation.nvars, clauses)
+    if loaded and simp_cache is not None:
+        simp_cache.store_simplified(fingerprint, {
+            "nvars": obligation.nvars,
+            "clauses": clauses,
+            "stack": [(lit, clause) for lit, clause, _active in result.stack],
+        })
+    extra = {f"simplify_{key}": value
+             for key, value in simp_stats.as_dict().items()}
+    return _search(obligation, fingerprint, solver, result.stack, extra,
+                   start, cancel_check=cancel_check, deadline=deadline)

@@ -182,7 +182,7 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         engine = ProofEngine(jobs=1, cache_dir=payload["cache_dir"])
     try:
         if payload.get("cell_type") == CELL_ALERT_WINDOW:
-            model = UpecModel(soc, scenario, simplify=payload["simplify"])
+            model = UpecModel(soc, scenario)
             checker = UpecChecker(model, engine=engine)
             check = checker.find_first_alert_window(
                 max_k=payload["k"],
@@ -202,7 +202,6 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
             methodology = UpecMethodology(
                 soc, scenario,
                 conflict_limit=payload["conflict_limit"],
-                simplify=payload["simplify"],
                 engine=engine,
                 wall_budget=payload.get("wall_budget"),
             )
@@ -225,7 +224,6 @@ class ScenarioSweep:
     def __init__(
         self,
         cells: Sequence[SweepCell],
-        simplify: bool = True,
         conflict_limit: Optional[int] = None,
         cache_dir: Optional[str] = None,
         max_iterations: int = 64,
@@ -233,7 +231,6 @@ class ScenarioSweep:
         wall_budget: Optional[float] = None,
     ) -> None:
         self.cells = list(cells)
-        self.simplify = simplify
         self.conflict_limit = conflict_limit
         self.cache_dir = cache_dir
         self.max_iterations = max_iterations
@@ -307,7 +304,6 @@ class ScenarioSweep:
             "scenario": dict(cell.scenario_kwargs),
             "k": cell.k,
             "cell_type": cell.cell_type,
-            "simplify": self.simplify,
             "conflict_limit": self.conflict_limit,
             "wall_budget": self.wall_budget,
             "cache_dir": self.cache_dir,

@@ -19,7 +19,7 @@ from repro.errors import FormalError
 from repro.formal.aig import Aig, CnfMapper
 from repro.formal.bitblast import bits_to_int
 from repro.formal.preprocess import SimplifyingSolver, SimplifyStats
-from repro.formal.solver import CdclSolver, Stats
+from repro.formal.solver import Stats
 from repro.formal.unroll import Unroller
 from repro.hdl.circuit import Circuit
 from repro.hdl.expr import Expr, Reg
@@ -37,16 +37,14 @@ class ClauseLog:
     clauses define which gate (:meth:`note_definition`).
 
     Only an in-place :meth:`solve` needs a solver.  The first one builds
-    it — a :class:`SimplifyingSolver`, or a :class:`CdclSolver` when
-    ``simplify`` is off — and replays into it, in order, the variable
-    count, the frozen set and the recorded clauses; after that,
+    a :class:`SimplifyingSolver` and replays into it, in order, the
+    variable count, the frozen set and the recorded clauses; after that,
     variables, clauses and freezes reach it as they are recorded.  The
-    replay is exact because before its first solve a solver only
-    buffers: a :class:`SimplifyingSolver` has eliminated nothing yet (so
-    nothing is resurrected), and a :class:`CdclSolver` only propagates
-    level-0 units in clause order.  The replayed solver is therefore in
-    the state an eagerly fed one would be in, and every later call finds
-    it so.  A context that only exports obligations never builds one.
+    replay is exact because before its first solve the solver only
+    buffers: it has eliminated nothing yet, so nothing is resurrected.
+    The replayed solver is therefore in the state an eagerly fed one
+    would be in, and every later call finds it so.  A context that only
+    exports obligations never builds one.
 
     The log also supports adopting a model that was computed elsewhere
     (by a worker process or a cache hit), so witness extraction reads
@@ -54,8 +52,7 @@ class ClauseLog:
     in-process ones.
     """
 
-    def __init__(self, simplify: bool = True) -> None:
-        self.simplify = simplify
+    def __init__(self) -> None:
         self.nvars = 0
         self.clauses: List[List[int]] = []
         self.frozen: Set[int] = set()
@@ -73,11 +70,6 @@ class ClauseLog:
         #: they give the cone-of-influence slicer its fan-in direction.
         self.definitions: Dict[int, List[int]] = {}
         self.roots: List[int] = []
-        if simplify:
-            # Only advertise freezing when the solver will support it:
-            # CnfMapper.freeze_lit probes with getattr and must keep
-            # skipping cone emission for plain CDCL contexts.
-            self.freeze_var = self._freeze_var
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -113,7 +105,9 @@ class ClauseLog:
         self.definitions[var] = self.roots[-count:]
         del self.roots[-count:]
 
-    def _freeze_var(self, var: int) -> None:
+    def freeze_var(self, var: int) -> None:
+        """Protect a variable from elimination (see
+        :meth:`SimplifyingSolver.freeze_var`)."""
         if not 0 < var <= self.nvars:
             raise FormalError(f"unknown variable {var}")
         self.frozen.add(var)
@@ -122,7 +116,7 @@ class ClauseLog:
 
     def _build(self):
         """The in-place solver, fed everything recorded so far."""
-        solver = SimplifyingSolver() if self.simplify else CdclSolver()
+        solver = SimplifyingSolver()
         for _ in range(self.nvars):
             solver.new_var()
         for var in self.frozen:
@@ -147,11 +141,8 @@ class ClauseLog:
         return self.inner.stats if self.inner is not None else Stats()
 
     @property
-    def simplify_stats(self) -> Optional[SimplifyStats]:
-        """Simplifier counters (zero before the first solve), or None
-        when ``simplify`` is off."""
-        if not self.simplify:
-            return None
+    def simplify_stats(self) -> SimplifyStats:
+        """Simplifier counters (zero before the first solve)."""
         if self.inner is None:
             return SimplifyStats()
         return self.inner.simplify_stats
@@ -180,9 +171,8 @@ class ClauseLog:
 class SatContext:
     """Shared AIG + CNF + solver state for a sequence of related queries.
 
-    With ``simplify=True`` (the default) the CNF goes through the
-    SatELite-style pre-/inprocessor of :mod:`repro.formal.preprocess`
-    before every search; ``simplify=False`` solves the raw Tseitin CNF.
+    The CNF goes through the SatELite-style pre-/inprocessor of
+    :mod:`repro.formal.preprocess` before every search, on either path.
 
     Queries can either be solved in place (:meth:`solve`, incremental)
     or exported as self-contained :class:`ProofObligation` values
@@ -195,10 +185,9 @@ class SatContext:
     one.
     """
 
-    def __init__(self, simplify: bool = True) -> None:
+    def __init__(self) -> None:
         self.aig = Aig()
-        self.simplify = simplify
-        self.solver = ClauseLog(simplify)
+        self.solver = ClauseLog()
         self.mapper = CnfMapper(self.aig, self.solver)
         self._slice_totals: Dict[str, int] = {}
 
@@ -261,7 +250,6 @@ class SatContext:
             clauses=sliced.clauses,
             assumptions=sliced.assumptions,
             frozen=sliced.frozen,
-            simplify=self.simplify,
             conflict_limit=conflict_limit,
             wall_budget=wall_budget,
             meta=dict(meta or {}),
@@ -356,10 +344,8 @@ class SatContext:
         data["cnf_vars"] = self.solver.nvars
         data["cnf_clauses_emitted"] = self.mapper.clauses_emitted
         data.update(self._slice_totals)
-        simp = self.solver.simplify_stats
-        if simp is not None:
-            for key, value in simp.as_dict().items():
-                data[f"simplify_{key}"] = value
+        for key, value in self.solver.simplify_stats.as_dict().items():
+            data[f"simplify_{key}"] = value
         return data
 
 
@@ -408,9 +394,9 @@ class BmcEngine:
     """
 
     def __init__(self, circuit: Circuit, init: str = "reset",
-                 simplify: bool = True, engine=None) -> None:
+                 engine=None) -> None:
         self.circuit = circuit.finalize()
-        self.context = SatContext(simplify=simplify)
+        self.context = SatContext()
         self.unroller = Unroller(circuit, self.context.aig, init=init)
         self.engine = engine
 

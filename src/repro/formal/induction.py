@@ -53,7 +53,6 @@ def prove_by_induction(
     k: int = 1,
     assumptions: Sequence[Expr] = (),
     conflict_limit: Optional[int] = None,
-    simplify: bool = True,
     engine=None,
 ) -> InductionResult:
     """Attempt to prove ``AG prop`` (under per-cycle assumptions) by
@@ -68,8 +67,7 @@ def prove_by_induction(
     start = time.perf_counter()
 
     # Base case: BMC from reset for k cycles.
-    base_engine = BmcEngine(circuit, init="reset", simplify=simplify,
-                            engine=engine)
+    base_engine = BmcEngine(circuit, init="reset", engine=engine)
     base = base_engine.check_always(
         prop, k=k, assumptions=assumptions, conflict_limit=conflict_limit
     )
@@ -82,7 +80,7 @@ def prove_by_induction(
     # Step case: symbolic window of k+1 states; prop and assumptions hold
     # for the first k states, must hold for state k+1... i.e. frames 0..k-1
     # satisfy prop, prove prop at frame k.
-    ctx = SatContext(simplify=simplify)
+    ctx = SatContext()
     unroller = Unroller(circuit, ctx.aig, init="symbolic")
     for t in range(k):
         ctx.assert_lit(unroller.expr_lit(prop, t))

@@ -29,7 +29,8 @@ incremental UPEC flow has grown the formula enough to pay for another pass
 (inprocessing).  Variables eliminated in an earlier pass are transparently
 *resurrected* — their removed clauses are re-added — when a later clause or
 assumption mentions them, which keeps the incremental CnfMapper interface
-sound.
+sound.  A one-shot solve (:func:`repro.engine.obligation.solve_obligation`)
+runs :class:`Simplifier` directly; both use :data:`PASS_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from repro.formal.solver import CdclSolver
 #: Mutable so :class:`SimplifyingSolver` can deactivate entries when a
 #: variable is resurrected.
 ReconstructionEntry = list
+
+#: The pass settings of every solve that preprocesses: the in-place
+#: :class:`SimplifyingSolver` and the obligation engine's cold solve.
+PASS_SETTINGS = {"occ_limit": 16, "resolvent_limit": 24, "max_rounds": 2,
+                 "probing": True}
 
 
 class SimplifyStats:
@@ -177,18 +183,34 @@ class Simplifier:
         self.occ: List[List[int]] = [[] for _ in range(2 * nvars + 1)]
         self.stack: List[ReconstructionEntry] = []
         self.eliminated: Dict[int, List[ReconstructionEntry]] = {}
-        for clause in clauses:
+        rest = iter(clauses)
+        for clause in rest:
             self.stats.clauses_in += 1
             if not self._add_input(clause):
+                # Refuted; the clauses left are only range-checked.
+                for clause in rest:
+                    self._check_range(clause)
                 break
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _check_range(self, lits: Iterable[int]) -> None:
+        nvars = self.nvars
+        for lit in lits:
+            if not (lit and -nvars <= lit <= nvars):
+                raise FormalError(
+                    f"literal {lit} references an unknown variable")
+
     def _add_input(self, lits: Sequence[int]) -> bool:
+        """Store one input clause (deduplicated, without top-level
+        fixed literals); False when it refutes the formula.  Every
+        literal is range-checked, also those after the one that drops
+        the clause."""
         seen: Dict[int, bool] = {}
         clause: List[int] = []
-        for lit in lits:
+        rest = iter(lits)
+        for lit in rest:
             var = abs(lit)
             if var == 0 or var > self.nvars:
                 raise FormalError(
@@ -197,12 +219,14 @@ class Simplifier:
             prev = seen.get(var)
             if prev is not None:
                 if prev != sign:
+                    self._check_range(rest)
                     return True  # tautology
                 continue
             seen[var] = sign
             fixed = self.assign.get(var)
             if fixed is not None:
                 if fixed == sign:
+                    self._check_range(rest)
                     return True  # satisfied at top level
                 continue          # falsified literal, drop
             clause.append(lit)
@@ -565,22 +589,11 @@ class SimplifyingSolver:
     :meth:`model_value` behaves exactly like the plain solver's.
     """
 
-    def __init__(
-        self,
-        min_pending: int = 2000,
-        pending_frac: float = 1.0,
-        probing: bool = True,
-        occ_limit: int = 16,
-        resolvent_limit: int = 24,
-        max_rounds: int = 2,
-    ) -> None:
+    def __init__(self, min_pending: int = 2000,
+                 pending_frac: float = 1.0) -> None:
         self.nvars = 0
         self.min_pending = min_pending
         self.pending_frac = pending_frac
-        self.probing = probing
-        self.occ_limit = occ_limit
-        self.resolvent_limit = resolvent_limit
-        self.max_rounds = max_rounds
         self.simplify_stats = SimplifyStats()
         self._inner = CdclSolver()
         self._db: List[List[int]] = []       # simplified database
@@ -685,12 +698,9 @@ class SimplifyingSolver:
         db = self._db + self._pending
         self._pending = []
         self.simplify_stats.simplifications += 1
-        simp = Simplifier(
-            self.nvars, db, frozen=self._frozen, stats=self.simplify_stats,
-            occ_limit=self.occ_limit, resolvent_limit=self.resolvent_limit,
-            max_rounds=self.max_rounds, probing=self.probing,
-        )
-        result = simp.run()
+        result = Simplifier(self.nvars, db, frozen=self._frozen,
+                            stats=self.simplify_stats,
+                            **PASS_SETTINGS).run()
         if not result.ok:
             self._ok = False
             return False
@@ -761,30 +771,6 @@ class SimplifyingSolver:
                 base[v] = inner.model_value(v)
             self._model = reconstruct_model(base, self._stack)
         return outcome
-
-    # ------------------------------------------------------------------
-    # Warm-start export
-    # ------------------------------------------------------------------
-    def export_simplified(self):
-        """Snapshot the post-simplification clause database for reuse.
-
-        Returns ``{"nvars", "clauses", "stack"}`` — the simplified
-        clauses (units included) plus the active model-reconstruction
-        entries — or None when there is nothing sound to export (the
-        formula was never rebuilt, turned inconsistent, or has pending
-        clauses the snapshot would miss).  A fresh
-        :class:`~repro.formal.solver.CdclSolver` loaded with the
-        snapshot searches exactly as this solver's inner search does,
-        so warm-started verdicts are bit-identical to cold ones.
-        """
-        if not self._ok or not self._did_initial or self._pending:
-            return None
-        return {
-            "nvars": self.nvars,
-            "clauses": [list(clause) for clause in self._db],
-            "stack": [[entry[0], list(entry[1])]
-                      for entry in self._stack if entry[2]],
-        }
 
     # ------------------------------------------------------------------
     # Model access

@@ -10,7 +10,6 @@ from repro.errors import FormalError
 from repro.formal.aig import FALSE, TRUE, Aig, CnfMapper
 from repro.formal.bmc import SatContext
 from repro.formal.preprocess import SimplifyingSolver
-from repro.formal.solver import CdclSolver
 
 #: ``REPRO_FUZZ_SCALE`` multiplies the differential tests' example counts
 #: (CI's nightly differential leg turns it up).
@@ -363,8 +362,6 @@ class EagerClauseLog:
         self.unit_tag = None
         self.definitions = {}
         self.roots = []
-        if hasattr(inner, "freeze_var"):
-            self.freeze_var = self._freeze_var
 
     def add_clause(self, lits):
         clause = lits if type(lits) is list else list(lits)
@@ -377,7 +374,7 @@ class EagerClauseLog:
         self.definitions[var] = self.roots[-count:]
         del self.roots[-count:]
 
-    def _freeze_var(self, var):
+    def freeze_var(self, var):
         self.frozen.add(var)
         self.inner.freeze_var(var)
 
@@ -399,18 +396,15 @@ class EagerClauseLog:
 
     @property
     def simplify_stats(self):
-        # SatContext.stats() read it with this getattr before the log
-        # grew the attribute.
-        return getattr(self.inner, "simplify_stats", None)
+        return self.inner.simplify_stats
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
 
-def eager_context(simplify):
-    ctx = SatContext(simplify=simplify)
-    ctx.solver = EagerClauseLog(
-        SimplifyingSolver() if simplify else CdclSolver())
+def eager_context():
+    ctx = SatContext()
+    ctx.solver = EagerClauseLog(SimplifyingSolver())
     ctx.mapper = CnfMapper(ctx.aig, ctx.solver)
     return ctx
 
@@ -494,9 +488,9 @@ def run_solve_session(pair, seed):
     return solves
 
 
-@pytest.mark.parametrize("simplify", [True, False],
-                         ids=["simplifying", "plain"])
-def test_on_demand_solver_matches_eager_proxy(simplify, monkeypatch):
+# The one configuration left keeps its test id.
+@pytest.mark.parametrize((), [pytest.param(id="simplifying")])
+def test_on_demand_solver_matches_eager_proxy(monkeypatch):
     resurrected = []
     resurrect = SimplifyingSolver._resurrect
 
@@ -507,20 +501,18 @@ def test_on_demand_solver_matches_eager_proxy(simplify, monkeypatch):
     monkeypatch.setattr(SimplifyingSolver, "_resurrect", counting)
     solves = 0
     for seed in range(40 * FUZZ_SCALE):
-        pair = (SatContext(simplify=simplify), eager_context(simplify))
+        pair = (SatContext(), eager_context())
         solves += run_solve_session(pair, seed)
     assert solves > 0
-    if simplify:
-        # Growth after a simplifying solve really brought eliminated
-        # variables back.
-        assert resurrected
+    # Growth after a simplifying solve really brought eliminated
+    # variables back.
+    assert resurrected
 
 
-@pytest.mark.parametrize("simplify", [True, False],
-                         ids=["simplifying", "plain"])
-def test_out_of_range_literals_raise_when_recorded(simplify):
-    for make in (lambda: SatContext(simplify=simplify),
-                 lambda: eager_context(simplify)):
+# The one configuration left keeps its test id.
+@pytest.mark.parametrize((), [pytest.param(id="simplifying")])
+def test_out_of_range_literals_raise_when_recorded():
+    for make in (SatContext, eager_context):
         ctx = make()
         ctx.mapper.assumption(ctx.aig.new_input())
         log = ctx.solver
@@ -528,13 +520,9 @@ def test_out_of_range_literals_raise_when_recorded(simplify):
             with pytest.raises(FormalError, match=f"literal {clause[-1]} "
                                "references an unknown variable"):
                 log.add_clause(clause)
-        if simplify:
-            for var in (2, 0):
-                with pytest.raises(FormalError,
-                                   match=f"unknown variable {var}"):
-                    log.freeze_var(var)
-        else:
-            assert not hasattr(log, "freeze_var")
+        for var in (2, 0):
+            with pytest.raises(FormalError, match=f"unknown variable {var}"):
+                log.freeze_var(var)
 
 
 def test_engine_run_builds_no_in_place_solver(monkeypatch):

@@ -116,8 +116,9 @@ def test_parser_requires_command():
     ["attack", "orc", "secure", "--secret", "zz"],
     ["attack", "orc", "secure", "--secret", "999"],
     ["attack", "meltdown", "secure", "--secret", "-1"],
+    ["methodology", "secure", "--no-preprocess"],
 ], ids=["unknown-flag", "non-integer-k", "non-integer-secret",
-        "secret-above-255", "negative-secret"])
+        "secret-above-255", "negative-secret", "no-preprocess"])
 def test_parse_errors_exit_64_not_the_insecure_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -146,15 +147,15 @@ def test_solver_flags_uniform_across_sat_commands():
     """check / methodology / sweep share one solver flag set."""
     parser = build_parser()
     for argv in (
-        ["check", "secure", "--no-preprocess", "--stats", "--json",
+        ["check", "secure", "--stats", "--json",
          "--jobs", "2", "--cache-dir", "/tmp/c", "--conflict-limit", "9"],
-        ["methodology", "secure", "--no-preprocess", "--stats", "--json",
+        ["methodology", "secure", "--stats", "--json",
          "--jobs", "2", "--cache-dir", "/tmp/c", "--conflict-limit", "9"],
-        ["sweep", "--no-preprocess", "--stats", "--json",
+        ["sweep", "--stats", "--json",
          "--jobs", "2", "--cache-dir", "/tmp/c", "--conflict-limit", "9"],
     ):
         args = parser.parse_args(argv)
-        assert args.no_preprocess and args.stats and args.json
+        assert args.stats and args.json
         assert args.jobs == 2 and args.cache_dir == "/tmp/c"
         assert args.conflict_limit == 9
     args = parser.parse_args(["attack", "orc", "secure", "--stats",

@@ -148,7 +148,7 @@ def _run_methodology(variant, engine, k=2):
 def test_obligation_wire_roundtrip_preserves_fingerprint():
     obligation = ProofObligation(
         name="wire", nvars=5, clauses=[[1, -2], [3, 4, 5]],
-        assumptions=[2], frozen=[1, 3], simplify=True,
+        assumptions=[2], frozen=[1, 3],
         conflict_limit=123, meta={"kind": "test", "frame": 2},
         remap=[0, 7, 8, 9, 10, 11],
     )
@@ -159,6 +159,13 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     assert back.conflict_limit == 123
     # Slice bookkeeping stays client-side.
     assert back.remap is None
+    # Fingerprints are those of the preprocessing flag's days, and a
+    # payload that still carries the flag parses to the same obligation.
+    assert obligation.fingerprint() == \
+        "6fbf70adc44df96771f96f3196d701c860dad76f19c1e100f64bf72146a58e46"
+    for flag in (True, False):
+        legacy = obligation_from_wire({**wire, "simplify": flag})
+        assert legacy.fingerprint() == obligation.fingerprint()
 
 
 def test_frame_with_unknown_tag_is_rejected():
@@ -1010,8 +1017,7 @@ def _pigeonhole_obligation(pigeons=8):
             for i2 in range(i1 + 1, pigeons):
                 clauses.append([-var(i1, j), -var(i2, j)])
     return ProofObligation(name="php", nvars=pigeons * holes,
-                           clauses=clauses, assumptions=[],
-                           simplify=False)
+                           clauses=clauses, assumptions=[])
 
 
 def test_cancel_push_preempts_running_solve():
@@ -1314,6 +1320,5 @@ def test_timeout_budget_yields_timeout_verdict():
     assert wire.fingerprint() == hard.fingerprint()
     unbudgeted = ProofObligation(
         name=hard.name, nvars=hard.nvars, clauses=hard.clauses,
-        assumptions=hard.assumptions, frozen=hard.frozen,
-        simplify=hard.simplify)
+        assumptions=hard.assumptions, frozen=hard.frozen)
     assert unbudgeted.fingerprint() == hard.fingerprint()

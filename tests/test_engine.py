@@ -33,8 +33,8 @@ def test_unpack_defaults_false_beyond_data():
 # ----------------------------------------------------------------------
 # Obligations
 # ----------------------------------------------------------------------
-def _obligation(clauses, assumptions=(), name="t", simplify=False,
-                conflict_limit=None, nvars=None):
+def _obligation(clauses, assumptions=(), name="t", conflict_limit=None,
+                nvars=None, frozen=()):
     if nvars is None:
         nvars = max(
             (abs(l) for c in clauses for l in c),
@@ -44,8 +44,8 @@ def _obligation(clauses, assumptions=(), name="t", simplify=False,
     return ProofObligation(
         name=name, nvars=nvars,
         clauses=[list(c) for c in clauses],
-        assumptions=list(assumptions),
-        simplify=simplify, conflict_limit=conflict_limit,
+        assumptions=list(assumptions), frozen=list(frozen),
+        conflict_limit=conflict_limit,
     )
 
 
@@ -85,6 +85,37 @@ def test_solve_obligation_unknown_on_conflict_limit():
     assert solve_obligation(ob).status == "unknown"
 
 
+@pytest.mark.parametrize("clauses, assumptions, frozen", [
+    ([[1], [1, 5]], [], []),
+    ([[1, 0]], [], []),
+    ([[1]], [2], []),
+    ([[1]], [], [2]),
+    ([[1, -1, 5]], [], []),
+    ([[1], [-1], [5]], [], []),
+], ids=["after-satisfied-literal", "zero-literal", "assumption", "frozen",
+        "after-tautology", "after-refutation"])
+def test_solve_obligation_rejects_out_of_range_input(clauses, assumptions,
+                                                      frozen, tmp_path):
+    """Every literal and frozen variable is checked against ``nvars``,
+    also where it could not change the answer; a worker reports the
+    error to the broker's failure accounting instead of answering."""
+    from repro.dist.protocol import obligation_to_wire
+    from repro.dist.worker import Worker
+    from repro.errors import FormalError
+
+    ob = _obligation(clauses, assumptions=assumptions, frozen=frozen,
+                     nvars=1)
+    cache = ResultCache(str(tmp_path))
+    for simp_cache in (None, cache):
+        with pytest.raises(FormalError, match="unknown variable"):
+            solve_obligation(ob, simp_cache=simp_cache)
+    assert cache.lookup_simplified(ob.fingerprint()) is None
+    failure = Worker("127.0.0.1:1")._solve(obligation_to_wire(ob),
+                                           ("batch", 0))
+    assert isinstance(failure, dict)
+    assert failure["exc_type"] == "FormalError"
+
+
 def test_fingerprint_is_content_addressed():
     a = _obligation([[1, 2], [-1]], assumptions=[2])
     b = _obligation([[1, 2], [-1]], assumptions=[2], name="other")
@@ -112,9 +143,10 @@ def test_verdict_dict_roundtrip():
 # ----------------------------------------------------------------------
 # SatContext export
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("simplify", [False, True])
-def test_context_export_matches_inline_solve(simplify):
-    ctx = SatContext(simplify=simplify)
+# The one configuration left keeps its test id.
+@pytest.mark.parametrize((), [pytest.param(id="True")])
+def test_context_export_matches_inline_solve():
+    ctx = SatContext()
     aig = ctx.aig
     a, b, c = aig.new_inputs(3)
     ctx.assert_lit(aig.or_(a, b))
@@ -125,7 +157,7 @@ def test_context_export_matches_inline_solve(simplify):
     assert verdict.sat and inline is True
     # UNSAT side: a & ~a is constant FALSE at the AIG level already, so
     # use a CNF-level contradiction instead.
-    ctx2 = SatContext(simplify=simplify)
+    ctx2 = SatContext()
     aig2 = ctx2.aig
     x = aig2.new_input()
     ctx2.assert_lit(x)
@@ -135,7 +167,7 @@ def test_context_export_matches_inline_solve(simplify):
 
 
 def test_context_adopt_model_feeds_value_reads():
-    ctx = SatContext(simplify=True)
+    ctx = SatContext()
     aig = ctx.aig
     a, b = aig.new_inputs(2)
     ctx.assert_lit(aig.and_(a, b))
@@ -153,7 +185,7 @@ def test_sliced_export_drops_unrelated_cones():
     """Cones mapped for other queries do not ride along in a sliced
     obligation; adopting a worker verdict completes the dropped gates by
     evaluation, so out-of-slice values stay consistent with the circuit."""
-    ctx = SatContext(simplify=True)
+    ctx = SatContext()
     aig = ctx.aig
     a, b, c, d = aig.new_inputs(4)
     ctx.assert_lit(c)
@@ -178,7 +210,7 @@ def test_slice_fingerprint_ignores_remap_bookkeeping():
     produce obligations with different remaps but identical fingerprints
     (the canonical-walk guarantee the UPEC frame order relies on)."""
     def export(grow):
-        ctx = SatContext(simplify=True)
+        ctx = SatContext()
         aig = ctx.aig
         a, b, c = aig.new_inputs(3)
         target = aig.and_(a, b)
@@ -556,7 +588,7 @@ def _bve_friendly_obligation(name="warm", conflict_limit=None):
         clauses.extend([[-v, -prev], [v, prev]])
         prev = v
     clauses.append([prev, 1])
-    return _obligation(clauses, assumptions=[1], name=name, simplify=True,
+    return _obligation(clauses, assumptions=[1], name=name,
                        conflict_limit=conflict_limit)
 
 

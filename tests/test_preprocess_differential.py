@@ -25,6 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
+from repro.engine.obligation import (ProofObligation, pack_model,
+                                     solve_obligation)
 from repro.errors import FormalError
 from repro.formal.preprocess import (
     ReconstructionEntry,
@@ -778,3 +780,152 @@ def test_simplifier_matches_reference():
         strengthened += stats["literals_strengthened"] > 0
     # The corpus reaches the paths whose bookkeeping is subtle.
     assert exhausted and eliminated and strengthened
+
+
+# ----------------------------------------------------------------------
+# solve_obligation against the cold path it replaced
+# ----------------------------------------------------------------------
+class SnapshotStore:
+    """The warm-start half of a ``ResultCache``, in memory: each stored
+    snapshot is kept as its canonical JSON."""
+
+    def __init__(self) -> None:
+        self.entries: Dict[str, str] = {}
+
+    def store_simplified(self, fingerprint, payload) -> None:
+        self.entries[fingerprint] = json.dumps(payload, sort_keys=True,
+                                               separators=(",", ":"))
+
+    def lookup_simplified(self, fingerprint):
+        entry = self.entries.get(fingerprint)
+        return None if entry is None else json.loads(entry)
+
+
+def reference_solve_obligation(obligation, store):
+    """The cold path ``solve_obligation`` had before it ran
+    :class:`Simplifier` directly: a :class:`SimplifyingSolver` fed the
+    obligation clause by clause, whose snapshot is read from its
+    database and the active entries of its stack.  Returns the status,
+    the packed model and the stats."""
+    solver = SimplifyingSolver()
+    for _ in range(obligation.nvars):
+        solver.new_var()
+    for var in obligation.frozen:
+        solver.freeze_var(var)
+    solver.add_clauses(obligation.clauses)
+    outcome = solver.solve(assumptions=obligation.assumptions,
+                           conflict_limit=obligation.conflict_limit)
+    stats = solver.stats.as_dict()
+    for key, value in solver.simplify_stats.as_dict().items():
+        stats[f"simplify_{key}"] = value
+    if solver._ok and solver._did_initial and not solver._pending:
+        store.store_simplified(obligation.fingerprint(), {
+            "nvars": solver.nvars,
+            "clauses": [list(clause) for clause in solver._db],
+            "stack": [[entry[0], list(entry[1])]
+                      for entry in solver._stack if entry[2]],
+        })
+    status = {True: "sat", False: "unsat", None: "unknown"}[outcome]
+    model = pack_model(solver.model()) if outcome else None
+    return status, model, stats
+
+
+def random_obligation(rng):
+    """A raw random CNF, a random 3-CNF near the satisfiability threshold
+    (hard enough for the search to meet its conflict limit) or a Tseitin
+    AND network with random constraints, under random frozen variables,
+    assumptions and conflict limit.  A clause never holds a literal and
+    its negation, as no exported obligation's does: the reference
+    dropped tautologies before the pass counted its input, while
+    ``solve_obligation`` hands the pass every clause (see the test after
+    the differential)."""
+    def clause_over(nvars, sizes=(1, 2, 2, 3, 3, 3, 4, 5)):
+        size = min(nvars, rng.choice(sizes))
+        lits = [var * rng.choice([1, -1])
+                for var in rng.sample(range(1, nvars + 1), size)]
+        if rng.random() < 0.2:
+            lits.append(rng.choice(lits))   # a repeated literal
+        return lits
+
+    kind = rng.random()
+    if kind < 0.4:
+        nvars = rng.randint(1, 30)
+        clauses = [clause_over(nvars)
+                   for _ in range(rng.randint(1, 4 * nvars))]
+    elif kind < 0.6:
+        nvars = rng.randint(20, 40)
+        clauses = [clause_over(nvars, (3,))
+                   for _ in range(int(rng.uniform(3.8, 4.6) * nvars))]
+    else:
+        nvars = rng.randint(2, 20)
+        clauses = []
+        for _ in range(rng.randint(1, 80)):
+            a, b = (var * rng.choice([1, -1])
+                    for var in rng.sample(range(1, nvars + 1), 2))
+            nvars += 1
+            clauses += [[-nvars, a], [-nvars, b], [nvars, -a, -b]]
+        clauses += [clause_over(nvars) for _ in range(rng.randint(0, 8))]
+        rng.shuffle(clauses)
+    frozen = sorted({rng.randint(1, nvars)
+                     for _ in range(rng.randint(0, 4))})
+    assumptions = [var * rng.choice([1, -1]) for var in
+                   rng.sample(range(1, nvars + 1), min(nvars,
+                                                       rng.randint(0, 3)))]
+    return ProofObligation(
+        name="random", nvars=nvars, clauses=clauses,
+        assumptions=assumptions, frozen=frozen,
+        conflict_limit=rng.choice([None, None, 1, 2, 5, 50]))
+
+
+def assert_matches_reference(obligation):
+    """Status, model, stats and stored snapshot as the reference has
+    them; the stored snapshot then warm-starts to the same answer.
+    Returns the verdict and whether a snapshot was stored."""
+    ref_store, store = SnapshotStore(), SnapshotStore()
+    expected = reference_solve_obligation(obligation, ref_store)
+    verdict = solve_obligation(obligation, simp_cache=store)
+    assert (verdict.status, verdict.model, verdict.stats) == expected
+    assert store.entries == ref_store.entries
+    if store.entries:
+        warm = solve_obligation(obligation, simp_cache=store)
+        assert (warm.status, warm.model) == (verdict.status, verdict.model)
+        assert warm.stats["simplify_warm_starts"] == 1
+    return verdict, bool(store.entries)
+
+
+def test_solve_obligation_matches_reference():
+    rng = random.Random(808)
+    statuses = set()
+    refuted = 0
+    for _ in range(200 * FUZZ_SCALE):
+        verdict, stored = assert_matches_reference(random_obligation(rng))
+        statuses.add(verdict.status)
+        refuted += not stored
+    # The corpus reaches every answer, and formulas the pass refutes
+    # (which store nothing).
+    assert statuses == {"sat", "unsat", "unknown"}
+    assert refuted
+
+
+def test_solve_obligation_matches_reference_on_orc_frame1():
+    obligation = first_orc_obligation()
+    assert obligation.fingerprint()[:16] == "6569169f1a034b20"
+    verdict, stored = assert_matches_reference(obligation)
+    assert verdict.sat and stored
+
+
+def test_solve_obligation_counts_every_input_clause():
+    """Tautologies and repeated literals reach the pass, which drops
+    them as the reference's buffering did: everything but the count of
+    input clauses agrees."""
+    obligation = ProofObligation(
+        name="tautologies", nvars=4,
+        clauses=[[1, 2, -1], [2, 3, 2], [-2, 4], [3, -3], [-4, -3, 1]],
+        assumptions=[-1], frozen=[4])
+    ref_store, store = SnapshotStore(), SnapshotStore()
+    status, model, stats = reference_solve_obligation(obligation, ref_store)
+    stats["simplify_clauses_in"] += 2
+    verdict = solve_obligation(obligation, simp_cache=store)
+    assert (verdict.status, verdict.model, verdict.stats) == \
+        (status, model, stats)
+    assert store.entries == ref_store.entries
