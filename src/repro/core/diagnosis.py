@@ -8,16 +8,14 @@ creation of a covert channel* (Sec. I).  This module turns an alert into:
   cycle of the witness, annotated with the structural one-cycle dependency
   that fed each newly-differing register, and
 * a **suspect set** — the microarchitectural registers on any structural
-  path from the secret to the first architectural divergence (computed
-  with networkx over the sequential dependency graph).
+  path from the secret to the first architectural divergence in the
+  sequential dependency graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.core.alerts import Alert
 from repro.hdl.analysis import sequential_fanin_map
@@ -61,15 +59,40 @@ class Diagnosis:
         return "\n".join(lines)
 
 
-def dependency_graph(circuit: Circuit) -> "nx.DiGraph":
-    """The one-cycle register dependency graph (edge a->b: a feeds b)."""
-    graph = nx.DiGraph()
-    for reg in circuit.regs.values():
-        graph.add_node(reg.name)
-    for reg, deps in sequential_fanin_map(circuit).items():
+def dependency_graph(circuit: Circuit) -> Dict[str, Set[str]]:
+    """The one-cycle register dependency graph as an adjacency map:
+    ``graph[a]`` holds every register that ``a`` feeds."""
+    fanin = sequential_fanin_map(circuit)
+    graph: Dict[str, Set[str]] = {reg.name: set() for reg in fanin}
+    for reg, deps in fanin.items():
         for dep in deps:
-            graph.add_edge(dep.name, reg.name)
+            graph.setdefault(dep.name, set()).add(reg.name)
     return graph
+
+
+def simple_paths(graph: Dict[str, Set[str]], source: str, target: str,
+                 cutoff: int) -> Iterator[List[str]]:
+    """Every path from ``source`` to ``target`` with no repeated register
+    and at most ``cutoff`` edges, depth first; ``source == target`` gives
+    the one-node path ``[source]`` alone."""
+    if source == target:
+        if cutoff >= 0:
+            yield [source]
+        return
+    if cutoff < 1:
+        return
+    path = [source]
+    stack = [iter(graph[source])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            path.pop()
+        elif node == target:
+            yield path + [node]
+        elif len(path) < cutoff and node not in path:
+            path.append(node)
+            stack.append(iter(graph[node]))
 
 
 def _diff_sets(alert: Alert) -> List[Set[str]]:
@@ -91,10 +114,6 @@ def diagnose(circuit: Circuit, alert: Alert,
     if not alert.witness:
         return Diagnosis(alert=alert, steps=[], suspects=[])
     graph = dependency_graph(circuit)
-    fanin = {
-        reg.name: [d.name for d in deps]
-        for reg, deps in sequential_fanin_map(circuit).items()
-    }
     diff_sets = _diff_sets(alert)
     steps: List[PropagationStep] = []
     for frame in range(1, len(diff_sets)):
@@ -104,7 +123,7 @@ def diagnose(circuit: Circuit, alert: Alert,
         feeders = {}
         for name in new:
             feeders[name] = sorted(
-                dep for dep in fanin.get(name, []) if dep in previous
+                dep for dep in previous if name in graph.get(dep, ())
             )
         steps.append(PropagationStep(
             frame=frame, new_regs=new, carried_regs=carried,
@@ -120,8 +139,8 @@ def diagnose(circuit: Circuit, alert: Alert,
     suspects: Set[str] = set()
     for src in source_names:
         for dst in target_names:
-            if src in graph and dst in graph and nx.has_path(graph, src, dst):
-                for path in nx.all_simple_paths(
+            if src in graph and dst in graph:
+                for path in simple_paths(
                     graph, src, dst, cutoff=len(alert.witness)
                 ):
                     suspects.update(path)
