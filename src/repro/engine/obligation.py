@@ -18,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import time
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FormalError
@@ -222,20 +224,63 @@ def _frozen_vars(obligation: ProofObligation) -> Set[int]:
     return frozen
 
 
-def _load(nvars: int, clauses: List[List[int]]) -> Tuple[CdclSolver, bool]:
-    """A fresh CDCL solver holding ``clauses``; the flag is False when
-    loading them already refutes the formula."""
+def _load(nvars: int, clauses: List[List[int]], assumptions: Sequence[int]
+          ) -> Tuple[CdclSolver, List[int], bool]:
+    """A fresh CDCL solver holding ``clauses``, numbered by the snapshot.
+
+    The solver gets one variable for each obligation variable that a
+    clause or an assumption mentions, numbered 1..m in increasing order,
+    and the clauses are loaded renumbered, in their order.  Returns the
+    solver, the sorted obligation variables it kept (search variable
+    ``i`` is ``kept[i - 1]``) and a flag that is False when loading the
+    clauses already refutes the formula.  A variable outside
+    ``1..nvars`` raises :class:`FormalError`.
+
+    A variable the snapshot leaves out (eliminated, or in no clause of
+    the slice) constrains nothing, so the verdict cannot depend on it.
+    :func:`_search` reads it as False, the value a search over all
+    ``nvars`` variables gives it (never bumped, it is decided at its
+    initial negative phase), and ``reconstruct_model`` then extends the
+    model over the stack.
+
+    That the rest of the search is unchanged is measured, not guaranteed
+    by construction.  The renumbering is monotone, so VSIDS tie-breaks,
+    clause order and watch order stay those of the full numbering.  On
+    the Tab.-I grid, Tab.-II ``orc``, D-not-in-cache ``secure`` and
+    ``pmp_bug`` and the seeded differential corpus, status, model and
+    every counter came out the same, except ``decisions`` and
+    ``propagations``: each fell by exactly the number of decisions the
+    full numbering made on left-out variables.  A trail-reuse restart
+    can still differ.  It keeps the decision levels up to the first
+    decision the best unassigned variable out-scores, and in the full
+    numbering that can be a decision on a left-out variable (activity
+    0).  The model that comes back may then differ; the verdict cannot.
+    """
+    literals = set(chain.from_iterable(clauses))
+    literals.update(assumptions)
+    kept = sorted(set(map(abs, literals)))
+    if kept and (kept[0] < 1 or kept[-1] > nvars):
+        bad = kept[0] if kept[0] < 1 else kept[-1]
+        raise FormalError(f"unknown variable {bad}")
+    # Indexed by obligation literal; a negative one reads from the end.
+    number = [0] * (2 * nvars + 1)
+    for new, var in enumerate(kept, 1):
+        number[var] = new
+        number[-var] = -new
     solver = CdclSolver()
-    for _ in range(nvars):
+    for _ in kept:
         solver.new_var()
-    return solver, solver.add_clauses(clauses)
+    renumber = number.__getitem__
+    loaded = solver.add_clauses(map(renumber, clause) for clause in clauses)
+    return solver, kept, loaded
 
 
-def _load_warm(obligation: ProofObligation,
-               warm: Dict[str, Any]) -> Optional[Tuple[CdclSolver, list]]:
-    """The solver and reconstruction stack of a cached snapshot, or None
-    when the payload does not fit the obligation (the cold path then
-    runs, as on any other cache corruption)."""
+def _load_warm(obligation: ProofObligation, warm: Dict[str, Any]
+               ) -> Optional[Tuple[CdclSolver, List[int], list]]:
+    """The loaded solver, its kept variables (see :func:`_load`) and the
+    reconstruction stack of a cached snapshot, or None when the payload
+    does not fit the obligation (the cold path then runs, as on any
+    other cache corruption)."""
     try:
         nvars = int(warm["nvars"])
         clauses = [[int(lit) for lit in clause]
@@ -248,27 +293,33 @@ def _load_warm(obligation: ProofObligation,
         return None
     # Reconstruction literals index straight into the model list, so a
     # corrupted stack must be rejected here (clause literals get the
-    # same treatment from the solver's own range checks below).
+    # same treatment from ``_load``'s range check below).
     for lit, clause, _active in stack:
         if not 1 <= abs(lit) <= nvars or \
                 any(q == 0 or abs(q) > nvars for q in clause):
             return None
     try:
-        solver, _loaded = _load(nvars, clauses)
+        solver, kept, _loaded = _load(nvars, clauses, obligation.assumptions)
     except FormalError:
         return None
-    return solver, stack
+    return solver, kept, stack
 
 
 def _search(obligation: ProofObligation, fingerprint: str,
-            solver: CdclSolver, stack: list, extra: Dict[str, int],
-            start: float, cancel_check=None,
+            solver: CdclSolver, kept: List[int], stack: list,
+            extra: Dict[str, int], start: float, cancel_check=None,
             deadline: Optional[float] = None) -> Verdict:
-    """Search a loaded snapshot under the obligation's assumptions; a
-    model is extended over the eliminated variables by ``stack``.
-    ``extra`` joins the search counters in the verdict's stats."""
+    """Search a snapshot :func:`_load` loaded under the obligation's
+    assumptions, mapped into its numbering.  A model is mapped back
+    (a variable ``kept`` leaves out reads False) and extended over the
+    eliminated variables by ``stack``.  ``extra`` joins the search
+    counters in the verdict's stats."""
+    assumptions = []
+    for lit in obligation.assumptions:
+        new = bisect_left(kept, abs(lit)) + 1
+        assumptions.append(new if lit > 0 else -new)
     outcome = solver.solve(
-        assumptions=obligation.assumptions,
+        assumptions=assumptions,
         conflict_limit=obligation.conflict_limit,
         cancel_check=cancel_check,
         deadline=deadline,
@@ -277,7 +328,10 @@ def _search(obligation: ProofObligation, fingerprint: str,
     stats.update(extra)
     model: Optional[bytes] = None
     if outcome is True:
-        model = pack_model(reconstruct_model(solver.model(), stack))
+        values = [False] * (obligation.nvars + 1)
+        for var, value in zip(kept, solver.model()[1:]):
+            values[var] = value
+        model = pack_model(reconstruct_model(values, stack))
     return _verdict_from_outcome(obligation, fingerprint, outcome, model,
                                  stats, start,
                                  stop_reason=solver.stop_reason)
@@ -298,6 +352,14 @@ def solve_obligation(obligation: ProofObligation,
     own fingerprint, and a later solve of the same obligation looks it
     up and searches it with the same code, skipping the pass — warm and
     cold verdicts are bit-identical.
+
+    The search numbers only the variables the snapshot mentions (its
+    clauses and the assumptions; about one in five on the Tab.-I grid),
+    so it never allocates or decides the ones the pass removed, and such
+    a variable reads False until the stack extends the model.  That the
+    search is otherwise the one a numbering of all ``nvars`` variables
+    makes is measured, not guaranteed: :func:`_load` says what was
+    compared and the one known way it can differ.
 
     Out-of-range input (a literal or frozen variable outside
     ``1..nvars``, or a zero literal) raises :class:`FormalError`, also
@@ -326,8 +388,8 @@ def solve_obligation(obligation: ProofObligation,
         warm = simp_cache.lookup_simplified(fingerprint)
         loaded = _load_warm(obligation, warm) if warm is not None else None
         if loaded is not None:
-            solver, stack = loaded
-            return _search(obligation, fingerprint, solver, stack,
+            solver, kept, stack = loaded
+            return _search(obligation, fingerprint, solver, kept, stack,
                            {"simplify_warm_starts": 1}, start,
                            cancel_check=cancel_check, deadline=deadline)
     simp_stats = SimplifyStats()
@@ -338,7 +400,8 @@ def solve_obligation(obligation: ProofObligation,
     # nothing is stored and the search answers UNSAT at once.
     clauses = [[unit] for unit in result.units] if result.ok else [[]]
     clauses += result.clauses
-    solver, loaded = _load(obligation.nvars, clauses)
+    solver, kept, loaded = _load(obligation.nvars, clauses,
+                                 obligation.assumptions)
     if loaded and simp_cache is not None:
         simp_cache.store_simplified(fingerprint, {
             "nvars": obligation.nvars,
@@ -347,5 +410,6 @@ def solve_obligation(obligation: ProofObligation,
         })
     extra = {f"simplify_{key}": value
              for key, value in simp_stats.as_dict().items()}
-    return _search(obligation, fingerprint, solver, result.stack, extra,
-                   start, cancel_check=cancel_check, deadline=deadline)
+    return _search(obligation, fingerprint, solver, kept, result.stack,
+                   extra, start, cancel_check=cancel_check,
+                   deadline=deadline)

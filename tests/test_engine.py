@@ -140,6 +140,61 @@ def test_verdict_dict_roundtrip():
     assert again.fingerprint == verdict.fingerprint
 
 
+def test_load_numbers_only_the_mentioned_variables():
+    """The search gets one variable per obligation variable a snapshot
+    clause or an assumption mentions, numbered in increasing order, and
+    the clauses renumbered in their order; the rest is never allocated."""
+    from repro.engine.obligation import _load
+    from repro.errors import FormalError
+
+    solver, kept, loaded = _load(9, [[7, -3], [3, 5]], [-8])
+    assert (kept, solver.nvars, loaded) == ([3, 5, 7, 8], 4, True)
+    # 3 -> 1, 5 -> 2, 7 -> 3; internal literal 2v is v, 2v + 1 is -v.
+    assert solver._clauses == [[2 * 3, 2 * 1 + 1], [2 * 1, 2 * 2]]
+    for bad in ([[1, 0]], [[-10]]):
+        with pytest.raises(FormalError, match="unknown variable"):
+            _load(9, bad, [])
+
+
+@pytest.mark.parametrize("assumption", [5, -5])
+def test_assumed_variable_no_clause_mentions_is_searched(assumption):
+    from repro.engine.obligation import _load
+
+    _solver, kept, _loaded = _load(6, [[2]], [assumption])
+    assert kept == [2, 5]
+    ob = _obligation([[1, 2], [-1, 2]], assumptions=[assumption], nvars=6)
+    model = solve_obligation(ob).model_list()
+    assert model[2] is True
+    assert model[5] is (assumption > 0)
+
+
+def test_absent_variable_reads_false_before_reconstruction(tmp_path,
+                                                           monkeypatch):
+    """The pass eliminates 2 and 3 and the clauses never mention 4, so
+    the search holds only the assumed 1.  Before reconstruction the
+    model reads 2, 3 and 4 False; the stack then sets 3 True, because
+    ``[-1, 3]`` needs it under the assumption.  Cold and warm alike."""
+    import repro.engine.obligation as obligation_module
+
+    seen = []
+    reconstruct = obligation_module.reconstruct_model
+
+    def spy(values, stack):
+        seen.append(list(values))
+        return reconstruct(values, stack)
+
+    monkeypatch.setattr(obligation_module, "reconstruct_model", spy)
+    ob = _obligation([[-1, 3], [-2, 3]], assumptions=[1], nvars=4)
+    cache = ResultCache(str(tmp_path))
+    cold = solve_obligation(ob, simp_cache=cache)
+    warm = solve_obligation(ob, simp_cache=cache)
+    assert cold.stats["simplify_vars_eliminated"] == 2
+    assert warm.stats["simplify_warm_starts"] == 1
+    assert seen == [[False, True, False, False, False]] * 2
+    assert cold.model_list() == warm.model_list() == \
+        [False, True, False, True, False]
+
+
 # ----------------------------------------------------------------------
 # SatContext export
 # ----------------------------------------------------------------------
@@ -658,6 +713,13 @@ def test_corrupted_warm_entry_falls_back_to_cold_solve(tmp_path):
     for bad in (
         {"nvars": ob.nvars, "clauses": [["x"]], "stack": []},
         {"nvars": ob.nvars, "clauses": [[ob.nvars + 99]], "stack": []},
+        # The load renumbers by the snapshot, so it range-checks every
+        # clause literal itself: a zero, and a negative literal one past
+        # nvars (a literal table indexed from its end would read it as
+        # the variable nvars).
+        {"nvars": ob.nvars, "clauses": [[1, 0]], "stack": []},
+        {"nvars": ob.nvars, "clauses": [[ob.nvars, -(ob.nvars + 1)]],
+         "stack": []},
         {"nvars": "?", "clauses": [], "stack": []},
         {"clauses": []},
         # Corrupted reconstruction stacks: out-of-range witness or

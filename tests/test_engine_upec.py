@@ -171,6 +171,34 @@ def test_obligation_stream_is_pinned():
         (3, "dc20a66427be94cc")
 
 
+def test_engine_search_counts_are_pinned():
+    """The search counts of the same run's three verdicts: status,
+    conflicts, restarts, decisions and propagations.  The search
+    numbers only the variables each snapshot mentions, so no decision
+    is spent on a variable preprocessing removed.  A change to the
+    engine's load or search that moves any count has to say so."""
+    verdicts = []
+
+    class RecordingEngine(ProofEngine):
+        def solve_ordered(self, obligations, early_stop=None):
+            results = super().solve_ordered(obligations,
+                                            early_stop=early_stop)
+            verdicts.extend(results)
+            return results
+
+    with RecordingEngine(jobs=1) as engine:
+        UpecMethodology(SOCS["orc"], SCENARIO, engine=engine).run(k=2)
+    counts = [[verdict.status] + [verdict.stats[key] for key in
+                                  ("conflicts", "restarts", "decisions",
+                                   "propagations")]
+              for verdict in verdicts]
+    assert counts == [
+        ["sat", 114, 1, 1221, 6493],
+        ["sat", 101, 1, 856, 4142],
+        ["sat", 130, 1, 1153, 6796],
+    ]
+
+
 @pytest.mark.parametrize("variant", ["orc", "secure"])
 def test_incremental_methodology_is_pinned(variant):
     """The exact outcome of one flagless (incremental, in-context

@@ -801,13 +801,41 @@ class SnapshotStore:
         return None if entry is None else json.loads(entry)
 
 
+class AbsentCountingSolver(SimplifyingSolver):
+    """:class:`SimplifyingSolver` whose search counts its decisions on
+    variables that no loaded clause and no assumption mentions: the
+    decisions ``solve_obligation``, which numbers its search by the
+    snapshot, never makes."""
+
+    def __init__(self, assumptions: Sequence[int]) -> None:
+        super().__init__()
+        self.mentioned = {abs(lit) for lit in assumptions}
+        self.absent_decisions = 0
+
+    def _rebuild(self) -> bool:
+        ok = super()._rebuild()
+        self.mentioned.update(abs(lit) for clause in self._db
+                              for lit in clause)
+        decide = self._inner._decide
+
+        def counting_decide():
+            lit = decide()
+            if lit is not None and lit >> 1 not in self.mentioned:
+                self.absent_decisions += 1
+            return lit
+
+        self._inner._decide = counting_decide
+        return ok
+
+
 def reference_solve_obligation(obligation, store):
     """The cold path ``solve_obligation`` had before it ran
     :class:`Simplifier` directly: a :class:`SimplifyingSolver` fed the
     obligation clause by clause, whose snapshot is read from its
     database and the active entries of its stack.  Returns the status,
-    the packed model and the stats."""
-    solver = SimplifyingSolver()
+    the packed model, the stats and the search's decisions on variables
+    absent from the snapshot."""
+    solver = AbsentCountingSolver(obligation.assumptions)
     for _ in range(obligation.nvars):
         solver.new_var()
     for var in obligation.frozen:
@@ -827,7 +855,19 @@ def reference_solve_obligation(obligation, store):
         })
     status = {True: "sat", False: "unsat", None: "unknown"}[outcome]
     model = pack_model(solver.model()) if outcome else None
-    return status, model, stats
+    return status, model, stats, solver.absent_decisions
+
+
+def expected_verdict(obligation, store):
+    """Status, model and stats ``solve_obligation`` must return: the
+    reference's, with ``decisions`` and ``propagations`` each lower by
+    the reference's decisions on absent variables (each was one
+    decision, and one trail entry propagated), and that count."""
+    status, model, stats, absent = reference_solve_obligation(obligation,
+                                                              store)
+    stats["decisions"] -= absent
+    stats["propagations"] -= absent
+    return (status, model, stats), absent
 
 
 def random_obligation(rng):
@@ -879,10 +919,11 @@ def random_obligation(rng):
 
 def assert_matches_reference(obligation):
     """Status, model, stats and stored snapshot as the reference has
-    them; the stored snapshot then warm-starts to the same answer.
-    Returns the verdict and whether a snapshot was stored."""
+    them, but for the decisions on absent variables; the stored
+    snapshot then warm-starts to the same answer.  Returns the verdict,
+    whether a snapshot was stored and the absent decisions."""
     ref_store, store = SnapshotStore(), SnapshotStore()
-    expected = reference_solve_obligation(obligation, ref_store)
+    expected, absent = expected_verdict(obligation, ref_store)
     verdict = solve_obligation(obligation, simp_cache=store)
     assert (verdict.status, verdict.model, verdict.stats) == expected
     assert store.entries == ref_store.entries
@@ -890,40 +931,47 @@ def assert_matches_reference(obligation):
         warm = solve_obligation(obligation, simp_cache=store)
         assert (warm.status, warm.model) == (verdict.status, verdict.model)
         assert warm.stats["simplify_warm_starts"] == 1
-    return verdict, bool(store.entries)
+    return verdict, bool(store.entries), absent
 
 
 def test_solve_obligation_matches_reference():
     rng = random.Random(808)
     statuses = set()
-    refuted = 0
+    refuted = absent = 0
     for _ in range(200 * FUZZ_SCALE):
-        verdict, stored = assert_matches_reference(random_obligation(rng))
+        verdict, stored, skipped = assert_matches_reference(
+            random_obligation(rng))
         statuses.add(verdict.status)
         refuted += not stored
-    # The corpus reaches every answer, and formulas the pass refutes
-    # (which store nothing).
+        absent += skipped
+    # The corpus reaches every answer, formulas the pass refutes (which
+    # store nothing), and searches the reference spent decisions on
+    # variables absent from the snapshot.
     assert statuses == {"sat", "unsat", "unknown"}
     assert refuted
+    assert absent
 
 
 def test_solve_obligation_matches_reference_on_orc_frame1():
     obligation = first_orc_obligation()
     assert obligation.fingerprint()[:16] == "6569169f1a034b20"
-    verdict, stored = assert_matches_reference(obligation)
+    verdict, stored, absent = assert_matches_reference(obligation)
     assert verdict.sat and stored
+    # Most of this SAT search's decisions were on absent variables.
+    assert absent > verdict.stats["decisions"]
 
 
 def test_solve_obligation_counts_every_input_clause():
     """Tautologies and repeated literals reach the pass, which drops
     them as the reference's buffering did: everything but the count of
-    input clauses agrees."""
+    input clauses (and the absent decisions) agrees."""
     obligation = ProofObligation(
         name="tautologies", nvars=4,
         clauses=[[1, 2, -1], [2, 3, 2], [-2, 4], [3, -3], [-4, -3, 1]],
         assumptions=[-1], frozen=[4])
     ref_store, store = SnapshotStore(), SnapshotStore()
-    status, model, stats = reference_solve_obligation(obligation, ref_store)
+    (status, model, stats), _absent = expected_verdict(obligation,
+                                                       ref_store)
     stats["simplify_clauses_in"] += 2
     verdict = solve_obligation(obligation, simp_cache=store)
     assert (verdict.status, verdict.model, verdict.stats) == \

@@ -47,9 +47,12 @@ def module_names():
 def test_runtime_imports_only_the_standard_library():
     # -I drops PYTHONPATH, the user site and the working directory from
     # sys.path; -S drops site-packages.  What is left is the standard
-    # library, plus the src directory the probe inserts.
+    # library, plus the src directory the probe inserts.  -I also ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the probe from writing
+    # bytecode caches into the checkout.
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", PROBE.format(src=str(SRC))],
+        [sys.executable, "-I", "-S", "-B", "-c",
+         PROBE.format(src=str(SRC))],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
