@@ -668,7 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="broker address (see 'repro serve')")
     p_worker.add_argument("--cache-dir", default=None,
                           help="local proof cache: verdict hits skip the "
-                               "solve, warm-start entries skip "
+                               "solve, a solve left open (conflict limit, "
+                               "wall budget, cancel) stores a warm-start "
+                               "entry that lets its retry skip "
                                "preprocessing, broker gossip is written "
                                "through")
     p_worker.add_argument("--name", default="",

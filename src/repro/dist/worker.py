@@ -8,10 +8,11 @@ verdicts no matter which machine runs the job), stream the verdict back.
 
 With a ``cache_dir`` the worker fronts solving with a local
 :class:`repro.engine.cache.ResultCache`: verdict hits skip the solve
-entirely, warm-started simplified clause databases skip the
-preprocessing pass, and every *gossiped* verdict the broker piggybacks
-on a pull is written through — so a fleet of workers sharing nothing but
-the broker converges to a common proof cache.
+entirely, a solve its search left open (a conflict limit, a wall budget
+or a cancel) stores its simplified clause database so the retry skips
+the preprocessing pass, and every *gossiped* verdict the broker
+piggybacks on a pull is written through — so a fleet of workers sharing
+nothing but the broker converges to a common proof cache.
 
 Each connection runs two side threads: a heartbeat (so the broker can
 tell a busy worker from a dead one) and a *receiver* that reads every

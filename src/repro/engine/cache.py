@@ -13,10 +13,13 @@ depends on the conflict limit of the run that produced it.
 
 Besides verdicts the store keeps *warm-start* entries — the post-BVE
 simplified clause database of an obligation, under the sibling key
-``<fingerprint>.simp`` — so a repeat solve whose verdict is missing
-(evicted, or the first run hit its conflict limit) at least skips the
-preprocessing pass (:meth:`store_simplified` /
-:meth:`lookup_simplified`; see ``solve_obligation``).
+``<fingerprint>.simp`` (:meth:`store_simplified` /
+:meth:`lookup_simplified`; see ``solve_obligation``).  One is written
+only when the search leaves its obligation open (a conflict limit, a
+wall budget or a cancel stopped it), so the retry with a bigger budget
+skips the preprocessing pass.  A settled obligation gets its verdict
+entry instead, which every lookup reads first, so a run whose
+obligations all settle leaves only verdicts.
 
 The store is size-capped: a small index file (``_index.json``) tracks
 per-entry sizes and a logical LRU clock; when ``max_bytes`` (or the
@@ -402,7 +405,8 @@ class ResultCache:
     # ------------------------------------------------------------------
     def store_simplified(self, fingerprint: str,
                          payload: Dict[str, Any]) -> None:
-        """Persist the snapshot a cold ``solve_obligation`` searched —
+        """Persist the snapshot a cold ``solve_obligation`` searched and
+        left open (an ``unknown`` or ``timeout`` verdict) —
         ``{"nvars", "clauses", "stack"}``: the units and simplified
         clauses, and the model-reconstruction entries as ``[witness
         literal, clause]`` pairs — under a sibling key of the

@@ -47,6 +47,9 @@ POISONED = "poisoned"
 DEFINITE = (SAT, UNSAT)
 
 _FINGERPRINT_SALT = b"upec-obligation-v1"
+#: Clauses hashed per ``update``: one join per chunk saves a call per
+#: clause, and a bounded chunk keeps the joined bytes small.
+_FINGERPRINT_CHUNK = 256
 
 
 def pack_model(values: Sequence[bool]) -> bytes:
@@ -104,8 +107,12 @@ class ProofObligation:
         h = hashlib.sha256(_FINGERPRINT_SALT)
         h.update(b"1")
         h.update(array("q", [self.nvars]).tobytes())
-        for clause in self.clauses:
-            h.update(array("q", clause).tobytes())
+        # Each clause's bytes, then ";", hashed a chunk at a time.
+        clauses = self.clauses
+        for first in range(0, len(clauses), _FINGERPRINT_CHUNK):
+            h.update(b";".join([
+                array("q", clause).tobytes()
+                for clause in clauses[first:first + _FINGERPRINT_CHUNK]]))
             h.update(b";")
         h.update(b"|a|")
         h.update(array("q", self.assumptions).tobytes())
@@ -225,16 +232,15 @@ def _frozen_vars(obligation: ProofObligation) -> Set[int]:
 
 
 def _load(nvars: int, clauses: List[List[int]], assumptions: Sequence[int]
-          ) -> Tuple[CdclSolver, List[int], bool]:
+          ) -> Tuple[CdclSolver, List[int]]:
     """A fresh CDCL solver holding ``clauses``, numbered by the snapshot.
 
     The solver gets one variable for each obligation variable that a
     clause or an assumption mentions, numbered 1..m in increasing order,
     and the clauses are loaded renumbered, in their order.  Returns the
-    solver, the sorted obligation variables it kept (search variable
-    ``i`` is ``kept[i - 1]``) and a flag that is False when loading the
-    clauses already refutes the formula.  A variable outside
-    ``1..nvars`` raises :class:`FormalError`.
+    solver and the sorted obligation variables it kept (search variable
+    ``i`` is ``kept[i - 1]``).  A variable outside ``1..nvars`` raises
+    :class:`FormalError`.
 
     A variable the snapshot leaves out (eliminated, or in no clause of
     the slice) constrains nothing, so the verdict cannot depend on it.
@@ -271,8 +277,8 @@ def _load(nvars: int, clauses: List[List[int]], assumptions: Sequence[int]
     for _ in kept:
         solver.new_var()
     renumber = number.__getitem__
-    loaded = solver.add_clauses(map(renumber, clause) for clause in clauses)
-    return solver, kept, loaded
+    solver.add_clauses(map(renumber, clause) for clause in clauses)
+    return solver, kept
 
 
 def _load_warm(obligation: ProofObligation, warm: Dict[str, Any]
@@ -299,7 +305,7 @@ def _load_warm(obligation: ProofObligation, warm: Dict[str, Any]
                 any(q == 0 or abs(q) > nvars for q in clause):
             return None
     try:
-        solver, kept, _loaded = _load(nvars, clauses, obligation.assumptions)
+        solver, kept = _load(nvars, clauses, obligation.assumptions)
     except FormalError:
         return None
     return solver, kept, stack
@@ -348,10 +354,14 @@ def solve_obligation(obligation: ProofObligation,
     variables, and searches the resulting *snapshot*: the nvars, the
     units plus the simplified clauses, and the model-reconstruction
     stack.  ``simp_cache`` (a :class:`repro.engine.cache.ResultCache`)
-    enables warm starts: the snapshot is stored under the obligation's
-    own fingerprint, and a later solve of the same obligation looks it
-    up and searches it with the same code, skipping the pass — warm and
-    cold verdicts are bit-identical.
+    enables warm starts: a cold solve whose search leaves the obligation
+    open (an ``unknown`` or ``timeout`` verdict) stores its snapshot
+    under the obligation's own fingerprint, and a later solve of the
+    same obligation, such as a retry with a bigger budget, looks it up
+    and searches it with the same code, skipping the pass — warm and
+    cold verdicts are bit-identical.  A definite verdict stores no
+    snapshot: the caller stores that verdict under the same fingerprint,
+    and every lookup reads the verdict first.
 
     The search numbers only the variables the snapshot mentions (its
     clauses and the assumptions; about one in five on the Tab.-I grid),
@@ -396,20 +406,20 @@ def solve_obligation(obligation: ProofObligation,
     simp_stats.simplifications = 1
     result = Simplifier(obligation.nvars, obligation.clauses, frozen=frozen,
                         stats=simp_stats, **PASS_SETTINGS).run()
-    # A refuted pass leaves the empty clause: it fails to load, so
-    # nothing is stored and the search answers UNSAT at once.
+    # A refuted pass leaves the empty clause: it fails to load, and the
+    # search answers UNSAT at once.
     clauses = [[unit] for unit in result.units] if result.ok else [[]]
     clauses += result.clauses
-    solver, kept, loaded = _load(obligation.nvars, clauses,
-                                 obligation.assumptions)
-    if loaded and simp_cache is not None:
+    solver, kept = _load(obligation.nvars, clauses, obligation.assumptions)
+    extra = {f"simplify_{key}": value
+             for key, value in simp_stats.as_dict().items()}
+    verdict = _search(obligation, fingerprint, solver, kept, result.stack,
+                      extra, start, cancel_check=cancel_check,
+                      deadline=deadline)
+    if simp_cache is not None and verdict.status not in DEFINITE:
         simp_cache.store_simplified(fingerprint, {
             "nvars": obligation.nvars,
             "clauses": clauses,
             "stack": [(lit, clause) for lit, clause, _active in result.stack],
         })
-    extra = {f"simplify_{key}": value
-             for key, value in simp_stats.as_dict().items()}
-    return _search(obligation, fingerprint, solver, kept, result.stack,
-                   extra, start, cancel_check=cancel_check,
-                   deadline=deadline)
+    return verdict

@@ -46,6 +46,7 @@ identical cache fingerprints across windows, jobs settings and runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Set
 
 @dataclass
@@ -92,33 +93,38 @@ def slice_cnf(
     witness extraction must not change this obligation); the frozen set
     is intersected with the cone instead.
     """
-    reached: Set[int] = set()
+    # ``reached[var]`` marks a variable of the cone; ``stack`` holds the
+    # reached variables whose definitions are not yet pulled in.
+    reached = bytearray(nvars + 1)
     stack: List[int] = []
-
-    def reach(var: int) -> None:
-        if var not in reached:
-            reached.add(var)
-            stack.append(var)
-
     keep: List[int] = []
     for lit in assumptions:
-        reach(abs(lit))
+        var = abs(lit)
+        if not reached[var]:
+            reached[var] = 1
+            stack.append(var)
     for ci in roots:
         tag = tags[ci]
         if unit_cutoff is not None and tag is not None and tag > unit_cutoff:
             continue
         keep.append(ci)
         for lit in clauses[ci]:
-            reach(abs(lit))
+            var = abs(lit)
+            if not reached[var]:
+                reached[var] = 1
+                stack.append(var)
     while stack:
-        var = stack.pop()
-        for ci in definitions.get(var, ()):
+        for ci in definitions.get(stack.pop(), ()):
             keep.append(ci)
             for lit in clauses[ci]:
-                reach(abs(lit))
+                var = abs(lit)
+                if not reached[var]:
+                    reached[var] = 1
+                    stack.append(var)
 
     keep.sort()
-    if len(reached) == nvars:
+    ordered = list(compress(range(nvars + 1), reached))
+    if len(ordered) == nvars:
         # Every variable survived: the (monotone) renumbering would be
         # the identity, so skip it — and drop the remap, which would
         # otherwise bloat every pickled obligation for nothing.
@@ -131,20 +137,18 @@ def slice_cnf(
             vars_in=nvars,
             clauses_in=len(clauses),
         )
-    ordered = sorted(reached)
-    new_of: Dict[int, int] = {old: i for i, old in enumerate(ordered, 1)}
-    remap = [0] + ordered
-    sliced = [
-        [lit // abs(lit) * new_of[abs(lit)] for lit in clauses[ci]]
-        for ci in keep
-    ]
+    # Indexed by original literal; a negative one reads from the end.
+    number = [0] * (2 * nvars + 1)
+    for new, var in enumerate(ordered, 1):
+        number[var] = new
+        number[-var] = -new
+    renumber = number.__getitem__
     return SliceResult(
         nvars=len(ordered),
-        clauses=sliced,
-        assumptions=[lit // abs(lit) * new_of[abs(lit)]
-                     for lit in assumptions],
-        frozen=sorted(new_of[v] for v in frozen if v in new_of),
-        remap=remap,
+        clauses=[list(map(renumber, clauses[ci])) for ci in keep],
+        assumptions=list(map(renumber, assumptions)),
+        frozen=sorted(number[v] for v in frozen if reached[v]),
+        remap=[0] + ordered,
         vars_in=nvars,
         clauses_in=len(clauses),
     )

@@ -149,52 +149,61 @@ class CdclSolver:
 
         Returns False if the formula is already trivially unsatisfiable.
         """
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
+        """Add problem clauses in order, each as :meth:`add_clause` does.
+
+        Returns False if the formula is already trivially unsatisfiable;
+        the clauses after the one that made it so are not read.
+        """
         if not self._ok:
             return False
         # Incremental use: clauses may arrive between solve() calls while
         # the trail still holds a model.  Unit clauses must be asserted at
         # level 0 (they are not stored), so drop back first.
         self._backtrack(0)
-        seen: Dict[int, int] = {}
-        clause: List[int] = []
+        nvars = self.nvars
         values = self._value
         level = self._level
-        for lit in lits:
-            internal = self._to_internal(lit)
-            var = internal >> 1
-            phase = internal & 1
-            if var in seen:
-                if seen[var] != phase:
-                    return True  # tautology: x | ~x
-                continue
-            seen[var] = phase
-            value = values[internal]
-            if value != _UNASSIGNED and level[var] == 0:
-                if value == 1:
-                    return True  # already satisfied at top level
-                continue  # already falsified at top level
-            clause.append(internal)
-        if not clause:
-            self._ok = False
-            return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
-                self._ok = False
-                return False
-            if self._propagate() is not None:
-                self._ok = False
-                return False
-            return True
-        self._clauses.append(clause)
-        self._watches[clause[0] ^ 1].append(clause)
-        self._watches[clause[1] ^ 1].append(clause)
+        watches = self._watches
+        stored = self._clauses
+        for lits in clauses:
+            seen: Dict[int, int] = {}
+            clause: List[int] = []
+            for lit in lits:
+                if lit < 0:
+                    var = -lit
+                    phase = 1
+                else:
+                    var = lit
+                    phase = 0
+                if var == 0 or var > nvars:
+                    raise FormalError(
+                        f"literal {lit} references an unknown variable")
+                prior = seen.get(var)
+                if prior is not None:
+                    if prior != phase:
+                        break  # tautology: x | ~x
+                    continue
+                seen[var] = phase
+                internal = 2 * var + phase
+                value = values[internal]
+                if value != _UNASSIGNED and level[var] == 0:
+                    if value == 1:
+                        break  # already satisfied at top level
+                    continue  # already falsified at top level
+                clause.append(internal)
+            else:
+                if len(clause) > 1:
+                    stored.append(clause)
+                    watches[clause[0] ^ 1].append(clause)
+                    watches[clause[1] ^ 1].append(clause)
+                elif not clause or not self._enqueue(clause[0], None) \
+                        or self._propagate() is not None:
+                    self._ok = False
+                    return False
         return True
-
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
-        return ok and self._ok
 
     # ------------------------------------------------------------------
     # Assignment primitives

@@ -147,8 +147,8 @@ def test_load_numbers_only_the_mentioned_variables():
     from repro.engine.obligation import _load
     from repro.errors import FormalError
 
-    solver, kept, loaded = _load(9, [[7, -3], [3, 5]], [-8])
-    assert (kept, solver.nvars, loaded) == ([3, 5, 7, 8], 4, True)
+    solver, kept = _load(9, [[7, -3], [3, 5]], [-8])
+    assert (kept, solver.nvars) == ([3, 5, 7, 8], 4)
     # 3 -> 1, 5 -> 2, 7 -> 3; internal literal 2v is v, 2v + 1 is -v.
     assert solver._clauses == [[2 * 3, 2 * 1 + 1], [2 * 1, 2 * 2]]
     for bad in ([[1, 0]], [[-10]]):
@@ -160,7 +160,7 @@ def test_load_numbers_only_the_mentioned_variables():
 def test_assumed_variable_no_clause_mentions_is_searched(assumption):
     from repro.engine.obligation import _load
 
-    _solver, kept, _loaded = _load(6, [[2]], [assumption])
+    _solver, kept = _load(6, [[2]], [assumption])
     assert kept == [2, 5]
     ob = _obligation([[1, 2], [-1, 2]], assumptions=[assumption], nvars=6)
     model = solve_obligation(ob).model_list()
@@ -187,6 +187,7 @@ def test_absent_variable_reads_false_before_reconstruction(tmp_path,
     ob = _obligation([[-1, 3], [-2, 3]], assumptions=[1], nvars=4)
     cache = ResultCache(str(tmp_path))
     cold = solve_obligation(ob, simp_cache=cache)
+    _leave_open(monkeypatch, ob, cache)
     warm = solve_obligation(ob, simp_cache=cache)
     assert cold.stats["simplify_vars_eliminated"] == 2
     assert warm.stats["simplify_warm_starts"] == 1
@@ -647,10 +648,66 @@ def _bve_friendly_obligation(name="warm", conflict_limit=None):
                        conflict_limit=conflict_limit)
 
 
-def test_warm_start_roundtrip_is_bit_identical(tmp_path):
+def _pigeonhole_obligation(conflict_limit=None, wall_budget=None):
+    """Seven pigeons in six holes unless the frozen selector 1 holds.
+    The search decides 1 False first, so it answers SAT only after
+    refuting the pigeonhole (773 conflicts): past the first
+    ``cancel_check`` and deadline poll, and a model to compare."""
+    def var(i, j):
+        return 2 + 6 * i + j
+
+    clauses = [[var(i, j) for j in range(6)] + [1] for i in range(7)]
+    for j in range(6):
+        for i1 in range(7):
+            for i2 in range(i1 + 1, 7):
+                clauses.append([-var(i1, j), -var(i2, j)])
+    ob = _obligation(clauses, frozen=[1], name="pigeonhole",
+                     conflict_limit=conflict_limit)
+    ob.wall_budget = wall_budget
+    return ob
+
+
+def _leave_open(monkeypatch, ob, cache):
+    """Solve ``ob`` with a search that gives up at once, as an exhausted
+    conflict limit does: the solve stays open, so it stores its
+    snapshot, also for a formula too small to reach a conflict."""
+    from repro.formal.solver import CdclSolver
+
+    def give_up(self, *args, **kwargs):
+        self.stop_reason = "conflicts"
+        return None
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CdclSolver, "solve", give_up)
+        verdict = solve_obligation(ob, simp_cache=cache)
+    assert verdict.status == "unknown"
+    return verdict
+
+
+def test_settled_solve_stores_no_snapshot(tmp_path):
+    """A cold solve that ends in a definite verdict writes no warm-start
+    entry: its caller stores the verdict under the same fingerprint, and
+    every lookup reads the verdict first.  Bare and through the engine."""
+    import os
+
+    ob = _bve_friendly_obligation()
+    bare = ResultCache(str(tmp_path / "bare"))
+    assert solve_obligation(ob, simp_cache=bare).status in ("sat", "unsat")
+    assert bare.lookup_simplified(ob.fingerprint()) is None
+    assert os.listdir(str(tmp_path / "bare")) == []
+    with ProofEngine(jobs=1, cache_dir=str(tmp_path / "engine")) as engine:
+        engine.solve_ordered([ob, _pigeonhole_obligation()])
+    names = os.listdir(str(tmp_path / "engine"))
+    assert f"{ob.fingerprint()}.json" in names
+    assert [n for n in names if n.endswith(".simp.json")] == []
+    assert len(ResultCache(str(tmp_path / "engine"))) == 2
+
+
+def test_warm_start_roundtrip_is_bit_identical(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path))
     ob = _bve_friendly_obligation()
-    cold = solve_obligation(ob, simp_cache=cache)
+    cold = solve_obligation(ob)
+    _leave_open(monkeypatch, ob, cache)
     assert cache.lookup_simplified(ob.fingerprint()) is not None
     warm = solve_obligation(ob, simp_cache=cache)
     assert warm.status == cold.status
@@ -660,31 +717,35 @@ def test_warm_start_roundtrip_is_bit_identical(tmp_path):
     assert "simplify_simplifications" not in warm.stats
 
 
-def test_warm_start_survives_json_roundtrip_and_reopen(tmp_path):
+def test_warm_start_survives_json_roundtrip_and_reopen(tmp_path,
+                                                       monkeypatch):
     ob = _bve_friendly_obligation()
+    cold = solve_obligation(ob)
     with ResultCache(str(tmp_path)) as cache:
-        cold = solve_obligation(ob, simp_cache=cache)
+        _leave_open(monkeypatch, ob, cache)
     with ResultCache(str(tmp_path)) as reopened:
         warm = solve_obligation(ob, simp_cache=reopened)
     assert (warm.status, warm.model) == (cold.status, cold.model)
     assert warm.stats.get("simplify_warm_starts") == 1
 
 
-def test_warm_entries_share_lru_eviction(tmp_path):
-    cache = ResultCache(str(tmp_path), max_bytes=1)
+def test_warm_entries_share_lru_eviction(tmp_path, monkeypatch):
+    """A snapshot is written before its verdict, so when the verdict
+    store goes over the byte cap, the older snapshot is evicted first."""
+    import os
+
     ob = _bve_friendly_obligation()
-    solve_obligation(ob, simp_cache=cache)
-    cache.store(ob, solve_obligation(ob))
-    # Everything over the 1-byte cap is pruned, .simp entries included.
+    verdict = solve_obligation(ob)
+    probe = ResultCache(str(tmp_path / "probe"))
+    probe.store(ob, verdict)
+    verdict_bytes = os.path.getsize(
+        str(tmp_path / "probe" / f"{ob.fingerprint()}.json"))
+    cache = ResultCache(str(tmp_path / "cache"), max_bytes=verdict_bytes)
+    _leave_open(monkeypatch, ob, cache)
+    assert cache.lookup_simplified(ob.fingerprint()) is not None
+    cache.store(ob, verdict)
     assert cache.lookup_simplified(ob.fingerprint()) is None
-    assert cache.lookup(ob) is None
-
-
-def test_engine_solve_populates_warm_entries(tmp_path):
-    with ProofEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
-        ob = _bve_friendly_obligation()
-        engine.solve_ordered([ob])
-        assert engine.cache.lookup_simplified(ob.fingerprint()) is not None
+    assert cache.lookup(ob) is not None
 
 
 def test_warm_start_serves_unknown_retry_with_higher_limit(tmp_path):
@@ -692,17 +753,42 @@ def test_warm_start_serves_unknown_retry_with_higher_limit(tmp_path):
     'unknown' (never cached as a verdict), the retry with a bigger
     budget skips straight past preprocessing."""
     cache = ResultCache(str(tmp_path))
-    limited = _bve_friendly_obligation(conflict_limit=1)
+    limited = _pigeonhole_obligation(conflict_limit=1)
     first = solve_obligation(limited, simp_cache=cache)
-    # The toy formula may solve within one conflict; force the point by
-    # checking the simp entry exists regardless of the verdict.
+    assert first.status == "unknown"
     assert cache.lookup_simplified(limited.fingerprint()) is not None
-    retry = _bve_friendly_obligation(conflict_limit=None)
+    retry = _pigeonhole_obligation()
     assert retry.fingerprint() == limited.fingerprint()
     warm = solve_obligation(retry, simp_cache=cache)
-    assert warm.status in ("sat", "unsat")
+    cold = solve_obligation(retry)
+    assert (warm.status, warm.model) == (cold.status, cold.model)
     assert warm.stats.get("simplify_warm_starts") == 1
     assert first.fingerprint == warm.fingerprint
+
+
+@pytest.mark.parametrize("stop", ["wall_budget", "cancel_check"])
+def test_stopped_solve_leaves_snapshot_for_retry(tmp_path, stop):
+    """A solve its wall budget or a cancel stopped is open too: it
+    stores its snapshot, and the unbudgeted retry warm-starts from it
+    to the answer of a cold unbudgeted solve."""
+    from repro.formal.solver import CANCEL_CHECK_EVERY
+
+    cache = ResultCache(str(tmp_path))
+    cold = solve_obligation(_pigeonhole_obligation())
+    assert cold.sat and cold.stats["conflicts"] > CANCEL_CHECK_EVERY
+    if stop == "wall_budget":
+        stopped = solve_obligation(
+            _pigeonhole_obligation(wall_budget=1e-9), simp_cache=cache)
+        assert stopped.status == "timeout"
+    else:
+        stopped = solve_obligation(_pigeonhole_obligation(),
+                                   simp_cache=cache,
+                                   cancel_check=lambda: True)
+        assert stopped.status == "unknown"
+    assert cache.lookup_simplified(stopped.fingerprint) is not None
+    retry = solve_obligation(_pigeonhole_obligation(), simp_cache=cache)
+    assert retry.stats.get("simplify_warm_starts") == 1
+    assert (retry.status, retry.model) == (cold.status, cold.model)
 
 
 def test_corrupted_warm_entry_falls_back_to_cold_solve(tmp_path):
@@ -740,25 +826,29 @@ def test_corrupted_warm_entry_falls_back_to_cold_solve(tmp_path):
 
 def test_pool_workers_share_warm_cache(tmp_path):
     """The multiprocessing pool path warm-starts too: worker processes
-    open the engine's cache directory and store .simp entries."""
+    open the engine's cache directory and store the snapshots of the
+    solves their conflict limit leaves open."""
+    import dataclasses
     import os
 
-    obs = [_bve_friendly_obligation(name=f"pw{i}") for i in range(3)]
+    obs = [_pigeonhole_obligation(conflict_limit=1) for _ in range(3)]
     # Distinct contents per obligation so each gets its own fingerprint.
     for i, ob in enumerate(obs):
+        ob.name = f"pw{i}"
         ob.clauses.append([1, 2 + i])
     with ProofEngine(jobs=2, cache_dir=str(tmp_path)) as engine:
         first = engine.solve_ordered(obs)
-    assert all(v is not None for v in first)
+    assert [v.status for v in first] == ["unknown"] * len(obs)
     simp = [n for n in os.listdir(str(tmp_path))
             if n.endswith(".simp.json")]
     assert len(simp) == len(obs)
-    # A later jobs=1 run warm-starts from what the pool workers stored.
+    # A later jobs=1 run without the limit warm-starts from what the
+    # pool workers stored.
+    retries = [dataclasses.replace(ob, conflict_limit=None) for ob in obs]
     with ProofEngine(jobs=1, cache_dir=str(tmp_path)) as engine:
-        engine.cache_hits = 0  # force non-verdict path: drop verdicts
-        for ob in obs:
-            os.unlink(str(tmp_path / f"{ob.fingerprint()}.json"))
-        again = engine.solve_ordered(obs)
-    for a, b in zip(first, again):
-        assert (a.status, a.model) == (b.status, b.model)
-    assert any(v.stats.get("simplify_warm_starts") for v in again)
+        again = engine.solve_ordered(retries)
+        assert engine.cache_hits == 0
+    for ob, verdict in zip(retries, again):
+        cold = solve_obligation(ob)
+        assert (verdict.status, verdict.model) == (cold.status, cold.model)
+        assert verdict.stats.get("simplify_warm_starts") == 1

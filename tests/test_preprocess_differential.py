@@ -16,6 +16,7 @@ subsumption budget.
 screws); the ``slow`` marker gates an extra high-volume pass.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -918,53 +919,79 @@ def random_obligation(rng):
 
 
 def assert_matches_reference(obligation):
-    """Status, model, stats and stored snapshot as the reference has
-    them, but for the decisions on absent variables; the stored
-    snapshot then warm-starts to the same answer.  Returns the verdict,
-    whether a snapshot was stored and the absent decisions."""
+    """Status, model and stats as the reference has them, but for the
+    decisions on absent variables.  A solve the search leaves open
+    stores the reference's snapshot, byte for byte, and the unlimited
+    retry warm-starts from it to the unlimited cold verdict; a definite
+    one stores nothing.  Returns the verdict, whether it stored a
+    snapshot, whether the reference did (it does unless loading the
+    pass's output refutes the formula) and the absent decisions."""
     ref_store, store = SnapshotStore(), SnapshotStore()
     expected, absent = expected_verdict(obligation, ref_store)
     verdict = solve_obligation(obligation, simp_cache=store)
     assert (verdict.status, verdict.model, verdict.stats) == expected
-    assert store.entries == ref_store.entries
-    if store.entries:
-        warm = solve_obligation(obligation, simp_cache=store)
-        assert (warm.status, warm.model) == (verdict.status, verdict.model)
+    if verdict.status == "unknown":
+        assert store.entries == ref_store.entries
+        retry = dataclasses.replace(obligation, conflict_limit=None)
+        warm = solve_obligation(retry, simp_cache=store)
+        cold = solve_obligation(retry)
+        assert (warm.status, warm.model) == (cold.status, cold.model)
         assert warm.stats["simplify_warm_starts"] == 1
-    return verdict, bool(store.entries), absent
+    else:
+        assert store.entries == {}
+    return verdict, bool(store.entries), bool(ref_store.entries), absent
 
 
 def test_solve_obligation_matches_reference():
     rng = random.Random(808)
     statuses = set()
-    refuted = absent = 0
+    opened = settled = refuted = absent = 0
     for _ in range(200 * FUZZ_SCALE):
-        verdict, stored, skipped = assert_matches_reference(
+        verdict, stored, ref_stored, skipped = assert_matches_reference(
             random_obligation(rng))
         statuses.add(verdict.status)
-        refuted += not stored
+        opened += stored
+        settled += verdict.status != "unknown" and ref_stored
+        refuted += not ref_stored
         absent += skipped
-    # The corpus reaches every answer, formulas the pass refutes (which
-    # store nothing), and searches the reference spent decisions on
-    # variables absent from the snapshot.
+    # The corpus reaches every answer: open solves that stored their
+    # snapshot, definite ones that stored none where the reference
+    # stored one, formulas the pass refutes, and searches the reference
+    # spent decisions on variables absent from the snapshot.
     assert statuses == {"sat", "unsat", "unknown"}
-    assert refuted
-    assert absent
+    assert opened and settled and refuted and absent
 
 
 def test_solve_obligation_matches_reference_on_orc_frame1():
     obligation = first_orc_obligation()
     assert obligation.fingerprint()[:16] == "6569169f1a034b20"
-    verdict, stored, absent = assert_matches_reference(obligation)
-    assert verdict.sat and stored
+    verdict, stored, ref_stored, absent = assert_matches_reference(
+        obligation)
+    assert verdict.sat and ref_stored and not stored
     # Most of this SAT search's decisions were on absent variables.
     assert absent > verdict.stats["decisions"]
+    # The frame takes 114 conflicts, so a limit of one leaves it open:
+    # the snapshot is the reference's, and the unlimited retry
+    # warm-starts to the unlimited cold verdict.
+    assert verdict.stats["conflicts"] == 114
+    limited = dataclasses.replace(obligation, conflict_limit=1)
+    opened, stored, _ref_stored, _absent = assert_matches_reference(limited)
+    assert opened.status == "unknown" and stored
 
 
-def test_solve_obligation_counts_every_input_clause():
+def give_up(solver, *args, **kwargs):
+    """A ``CdclSolver.solve`` that stops at once, as an exhausted
+    conflict limit does."""
+    solver.stop_reason = "conflicts"
+    return None
+
+
+def test_solve_obligation_counts_every_input_clause(monkeypatch):
     """Tautologies and repeated literals reach the pass, which drops
     them as the reference's buffering did: everything but the count of
-    input clauses (and the absent decisions) agrees."""
+    input clauses (and the absent decisions) agrees.  The formula is
+    too small to reach a conflict, so a search that gives up at once
+    leaves the solve open to compare the snapshot."""
     obligation = ProofObligation(
         name="tautologies", nvars=4,
         clauses=[[1, 2, -1], [2, 3, 2], [-2, 4], [3, -3], [-4, -3, 1]],
@@ -976,4 +1003,9 @@ def test_solve_obligation_counts_every_input_clause():
     verdict = solve_obligation(obligation, simp_cache=store)
     assert (verdict.status, verdict.model, verdict.stats) == \
         (status, model, stats)
-    assert store.entries == ref_store.entries
+    assert verdict.sat and store.entries == {}
+    with monkeypatch.context() as patch:
+        patch.setattr(CdclSolver, "solve", give_up)
+        assert solve_obligation(obligation,
+                                simp_cache=store).status == "unknown"
+    assert ref_store.entries and store.entries == ref_store.entries
