@@ -198,6 +198,22 @@ def _connect_from_args(args) -> str:
     return env_connect()
 
 
+def _open_cache(cache_dir: Optional[str]):
+    """The proof cache in ``cache_dir`` (flag or ``REPRO_ENGINE_CACHE``),
+    None without one.  A directory that cannot be created or read (a
+    path under a regular file, say) is a usage error: an uncaught
+    ``OSError`` would exit 1, which ``check`` reserves for a P-alert."""
+    if cache_dir is None:
+        return None
+    from repro.engine import ResultCache
+
+    try:
+        return ResultCache(cache_dir)
+    except OSError as exc:
+        raise UsageError(f"cannot use cache directory {cache_dir}: "
+                         f"{exc.strerror or exc}") from None
+
+
 def _engine_from_args(args):
     """An engine when --connect/--jobs/--cache-dir ask for one, else
     None (the incremental in-context solver)."""
@@ -213,12 +229,13 @@ def _engine_from_args(args):
         _validate_address(connect)
         from repro.dist.remote import RemoteEngine
 
-        return RemoteEngine(connect, cache_dir=args.cache_dir)
+        return RemoteEngine(connect, cache=_open_cache(args.cache_dir))
     if args.jobs is None and args.cache_dir is None:
         return None
     from repro.engine import ProofEngine
 
-    return ProofEngine(jobs=args.jobs or 1, cache_dir=args.cache_dir)
+    return ProofEngine(jobs=args.jobs or 1,
+                       cache=_open_cache(args.cache_dir))
 
 
 def _closing(engine):
@@ -318,6 +335,9 @@ def cmd_sweep(args) -> int:
             print(f"unknown variant {variant!r} (choose from "
                   f"{', '.join(VARIANTS)})", file=sys.stderr)
             return 64
+    # Every cell opens the cache itself, possibly in a worker process;
+    # open it once here so an unusable directory fails before any cell.
+    _open_cache(args.cache_dir)
     sweep = ScenarioSweep.table1_grid(
         variants=variants,
         k=args.k,

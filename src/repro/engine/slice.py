@@ -12,42 +12,51 @@ the bytes.
 So every export goes through the slicer, which cuts the snapshot down
 to the clauses that can actually influence the query.  Raw CNF has no
 direction (a clause mentioning a variable could define it or consume
-it), so the :class:`ClauseLog` records two extra facts at emission
-time:
+it), so the :class:`ClauseLog` keeps the direction the formula was
+emitted with, in two kinds of rows:
 
-* **definitions** — the Tseitin clauses that *define* a gate variable
-  (marked by :class:`repro.formal.aig.CnfMapper` as it emits each AND
-  node's triple), giving the traversal its fan-in direction;
+* **gate rows** — one ``(v, a, b)`` row per AND node that
+  :class:`repro.formal.aig.CnfMapper` maps, standing for the Tseitin
+  clauses ``[-v, a]``, ``[-v, b]``, ``[v, -a, -b]`` that *define* the
+  gate variable ``v`` from its fan-in ``a``, ``b``;
 * **root clauses** — everything else (asserted units), optionally
-  tagged with the unrolling frame they belong to.
+  tagged with the unrolling frame they belong to, and placed among the
+  gate rows by the number of rows emitted before each.
 
 The cone is then the least set containing the assumption variables and
-the selected root clauses, closed under "a reached variable pulls in its
-defining clauses (and their fan-in variables)".  Clauses defining gates
-*outside* the cone are dropped: they constrain only fresh variables the
-query never reads, so the slice is equisatisfiable with the full
-formula under the same assumptions, and any model of the slice extends
-to a model of the full formula by evaluating the dropped gates.
+the variables of the selected root clauses, closed under "a reached
+gate variable pulls in its row (and its fan-in variables)".  A gate is
+mapped after its fan-in, so one backward pass over the rows closes it.
+Gate rows *outside* the cone are dropped: they constrain only fresh
+variables the query never reads, so the slice is equisatisfiable with
+the full formula under the same assumptions, and any model of the slice
+extends to a model of the full formula by evaluating the dropped gates.
 
-Finally the surviving variables are renumbered 1..m in increasing
-original order and a remap table (new -> old) is kept on the
-obligation, so a worker's model maps back onto the exporting context
-via ``SatContext.adopt_verdict`` (which also re-evaluates the dropped
-gates so witness reads stay consistent with the circuit).  The
-renumbering is canonical relative to the order in which the query's own
-cone was emitted: once a query has been mapped, any amount of unrelated
-growth — deeper frames, other registers' diff cones, other commitments
-— leaves its re-exports bit-identical, and two contexts that walk the
-same frames in the same order (the UPEC methodology's frame-ordered
-walk, at any worker count) produce bit-identical obligations and hence
-identical cache fingerprints across windows, jobs settings and runs.
+Finally the kept rows, expanded to their clauses, and the kept root
+clauses are merged back in emission order, the surviving variables are
+renumbered 1..m in increasing original order, and a remap table
+(new -> old) is kept on the obligation, so a worker's model maps back
+onto the exporting context via ``SatContext.adopt_verdict`` (which also
+re-evaluates the dropped gates so witness reads stay consistent with
+the circuit).  The renumbering is canonical relative to the order in
+which the query's own cone was emitted: once a query has been mapped,
+any amount of unrelated growth — deeper frames, other registers' diff
+cones, other commitments — leaves its re-exports bit-identical, and two
+contexts that walk the same frames in the same order (the UPEC
+methodology's frame-ordered walk, at any worker count) produce
+bit-identical obligations and hence identical cache fingerprints across
+windows, jobs settings and runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.formal.bmc import ClauseLog
+
 
 @dataclass
 class SliceResult:
@@ -71,84 +80,84 @@ class SliceResult:
 
 
 def slice_cnf(
-    clauses: Sequence[List[int]],
-    nvars: int,
-    definitions: Dict[int, List[int]],
-    roots: Sequence[int],
-    tags: Sequence[Optional[int]],
+    log: "ClauseLog",
     assumptions: Sequence[int],
-    frozen: Set[int],
     unit_cutoff: Optional[int] = None,
 ) -> SliceResult:
     """Compute the cone-of-influence slice of a recorded CNF.
 
-    ``definitions`` maps a gate variable to the indices of the clauses
-    that define it; ``roots`` lists the indices of all non-definitional
-    clauses (asserted units), each optionally frame-tagged in ``tags``.
-    With ``unit_cutoff`` set, root clauses tagged with a *later* frame
-    are excluded — the UPEC model tags its per-frame window assumptions
-    so a frame-``t`` obligation depends only on frames ``0..t``.
+    The cone is seeded by the assumption variables and the variables of
+    the root clauses it keeps.  With ``unit_cutoff`` set, root clauses
+    tagged with a *later* frame are excluded — the UPEC model tags its
+    per-frame window assumptions so a frame-``t`` obligation depends only
+    on frames ``0..t``.
 
-    ``frozen`` variables are *not* cone seeds (freezing other frames for
-    witness extraction must not change this obligation); the frozen set
-    is intersected with the cone instead.
+    The log's ``frozen`` variables are *not* cone seeds (freezing other
+    frames for witness extraction must not change this obligation); the
+    frozen set is intersected with the cone instead.
     """
-    # ``reached[var]`` marks a variable of the cone; ``stack`` holds the
-    # reached variables whose definitions are not yet pulled in.
+    nvars = log.nvars
+    gates = log.gates
     reached = bytearray(nvars + 1)
-    stack: List[int] = []
-    keep: List[int] = []
     for lit in assumptions:
-        var = abs(lit)
-        if not reached[var]:
-            reached[var] = 1
-            stack.append(var)
-    for ci in roots:
-        tag = tags[ci]
+        reached[lit if lit > 0 else -lit] = 1
+    kept: List[Tuple[Optional[List[int]], int]] = []
+    for clause, tag, before in zip(log.root_clauses, log.root_tags,
+                                   log.root_gates):
         if unit_cutoff is not None and tag is not None and tag > unit_cutoff:
             continue
-        keep.append(ci)
-        for lit in clauses[ci]:
-            var = abs(lit)
-            if not reached[var]:
-                reached[var] = 1
-                stack.append(var)
-    while stack:
-        for ci in definitions.get(stack.pop(), ()):
-            keep.append(ci)
-            for lit in clauses[ci]:
-                var = abs(lit)
-                if not reached[var]:
-                    reached[var] = 1
-                    stack.append(var)
+        kept.append((clause, before))
+        for lit in clause:
+            reached[lit if lit > 0 else -lit] = 1
+    # Close the cone under fan-in in one backward pass: every gate that
+    # reads a gate's output comes after its row, so a row is reached, if
+    # at all, before the pass gets to it.
+    rows = reversed(gates)
+    for b, a, v in zip(rows, rows, rows):
+        if reached[v]:
+            reached[a if a > 0 else -a] = 1
+            reached[b if b > 0 else -b] = 1
 
-    keep.sort()
     ordered = list(compress(range(nvars + 1), reached))
-    if len(ordered) == nvars:
-        # Every variable survived: the (monotone) renumbering would be
-        # the identity, so skip it — and drop the remap, which would
-        # otherwise bloat every pickled obligation for nothing.
-        return SliceResult(
-            nvars=nvars,
-            clauses=[clauses[ci] for ci in keep],
-            assumptions=list(assumptions),
-            frozen=sorted(frozen),
-            remap=None,
-            vars_in=nvars,
-            clauses_in=len(clauses),
-        )
     # Indexed by original literal; a negative one reads from the end.
-    number = [0] * (2 * nvars + 1)
-    for new, var in enumerate(ordered, 1):
-        number[var] = new
-        number[-var] = -new
+    if len(ordered) == nvars:
+        # Every variable survived: the (monotone) renumbering is the
+        # identity, so the obligation carries no remap, which would
+        # otherwise bloat every pickled obligation for nothing.
+        number = list(range(nvars + 1))
+        number += range(-nvars, 0)
+        remap = None
+    else:
+        number = [0] * (2 * nvars + 1)
+        for new, var in enumerate(ordered, 1):
+            number[var] = new
+            number[-var] = -new
+        remap = [0] + ordered
     renumber = number.__getitem__
+    # Kept gate rows and kept root clauses, merged in emission order.  A
+    # row renumbers to output 0 exactly when the cone left it out.
+    clauses: List[List[int]] = []
+    append = clauses.append
+    start = 0
+    kept.append((None, len(gates) // 3))
+    for root, stop in kept:
+        rows = map(renumber, gates[3 * start:3 * stop])
+        for v, a, b in zip(rows, rows, rows):
+            if v:
+                nv = -v
+                append([nv, a])
+                append([nv, b])
+                append([v, -a, -b])
+        if root is not None:
+            append(list(map(renumber, root)))
+        start = stop
     return SliceResult(
         nvars=len(ordered),
-        clauses=[list(map(renumber, clauses[ci])) for ci in keep],
+        clauses=clauses,
         assumptions=list(map(renumber, assumptions)),
-        frozen=sorted(number[v] for v in frozen if reached[v]),
-        remap=[0] + ordered,
+        frozen=sorted(number[v] for v in log.frozen if reached[v]),
+        remap=remap,
         vars_in=nvars,
-        clauses_in=len(clauses),
+        # Three clauses a gate, as many as the row has entries.
+        clauses_in=len(log.root_clauses) + len(gates),
     )

@@ -178,6 +178,13 @@ class CnfMapper:
     share previously emitted clauses, so the UPEC methodology can assert many
     different proof obligations over one unrolled model.
 
+    Each AND node becomes a fresh variable ``v`` defined by the Tseitin
+    clauses ``[-v, a]``, ``[-v, b]``, ``[v, -a, -b]`` over its children's
+    literals.  A recording solver (:class:`~repro.formal.bmc.ClauseLog`)
+    takes the gate as one ``add_and(v, a, b)`` row, which gives
+    cone-of-influence slicing its fan-in direction; a plain solver gets
+    the three clauses.
+
     Invariant: a mapped AND node's cone is fully mapped, because a node is
     only mapped after both of its children.  Mapping a new root therefore
     walks its fan-in only down to mapped nodes, and still emits the
@@ -190,10 +197,9 @@ class CnfMapper:
         self.solver = solver if solver is not None else CdclSolver()
         self._node_var: Dict[int, int] = {}
         self.clauses_emitted = 0
-        # A recording solver (ClauseLog) learns which clauses define
-        # which gate variable — that is what gives cone-of-influence
-        # slicing its fan-in direction.  Plain solvers skip it.
-        self._note_definition = getattr(self.solver, "note_definition", None)
+        # A recording solver (ClauseLog) records each gate as one row;
+        # a plain solver gets its three clauses.
+        self._add_and = getattr(self.solver, "add_and", None)
         # Node values read under an adopted model (see model_lit), valid
         # for the adopted model object they were read under and until the
         # next node is mapped.
@@ -233,6 +239,7 @@ class CnfMapper:
         node_var = self._node_var
         fanins_of = self.aig.fanins
         solver = self.solver
+        add_and = self._add_and
         seen: Set[int] = set()
         stack: List[Tuple[int, bool]] = [(root, False)]
         while stack:
@@ -243,11 +250,12 @@ class CnfMapper:
                 b = self._leaf_or_var(fanins[1])
                 v = solver.new_var()
                 # v <-> a & b
-                solver.add_clause([-v, a])
-                solver.add_clause([-v, b])
-                solver.add_clause([v, -a, -b])
-                if self._note_definition is not None:
-                    self._note_definition(v, 3)
+                if add_and is not None:
+                    add_and(v, a, b)
+                else:
+                    solver.add_clause([-v, a])
+                    solver.add_clause([-v, b])
+                    solver.add_clause([v, -a, -b])
                 self.clauses_emitted += 3
                 node_var[node] = v
                 continue

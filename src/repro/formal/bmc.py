@@ -12,6 +12,7 @@ reset or symbolic (any-state, IPC-style) initial state.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -32,19 +33,32 @@ class ClauseLog:
     :class:`SatContext` routes every clause through this log so the full
     problem formula is available as data — that is what lets a context
     *export* self-contained proof obligations instead of only solving
-    them in place.  The log owns the variable count and records the
-    clauses, the frozen variables, each clause's frame tag, and which
-    clauses define which gate (:meth:`note_definition`).
+    them in place.  The log owns the variable count and the frozen
+    variables, and it records the formula in two kinds of rows:
+
+    * **gate rows** — one ``(v, a, b)`` row per Tseitin AND gate
+      ``v <-> a & b`` (:meth:`add_and`), kept flat in an ``array`` of
+      machine integers: 12 bytes a gate, and one object for the cyclic
+      garbage collector to visit however many gates it holds.  A row
+      stands for the gate's three clauses ``[-v, a]``, ``[-v, b]``,
+      ``[v, -a, -b]`` and gives the cone-of-influence slicer its fan-in
+      direction.
+    * **root clauses** — every other clause (asserted units, the
+      constant's unit; :meth:`add_clause`), each with its frame tag and
+      the number of gate rows emitted before it, which fixes the
+      emission order of the two kinds.
+
+    :meth:`expand` lists the recorded clauses in emission order.
 
     Only an in-place :meth:`solve` needs a solver.  The first one builds
     a :class:`SimplifyingSolver` and replays into it, in order, the
-    variable count, the frozen set and the recorded clauses; after that,
-    variables, clauses and freezes reach it as they are recorded.  The
-    replay is exact because before its first solve the solver only
-    buffers: it has eliminated nothing yet, so nothing is resurrected.
-    The replayed solver is therefore in the state an eagerly fed one
-    would be in, and every later call finds it so.  A context that only
-    exports obligations never builds one.
+    variable count, the frozen set and the expanded clauses; after that,
+    variables, clauses (a gate's three, in order) and freezes reach it
+    as they are recorded.  The replay is exact because before its first
+    solve the solver only buffers: it has eliminated nothing yet, so
+    nothing is resurrected.  The replayed solver is therefore in the
+    state an eagerly fed one would be in, and every later call finds it
+    so.  A context that only exports obligations never builds one.
 
     The log also supports adopting a model that was computed elsewhere
     (by a worker process or a cache hit), so witness extraction reads
@@ -54,22 +68,23 @@ class ClauseLog:
 
     def __init__(self) -> None:
         self.nvars = 0
-        self.clauses: List[List[int]] = []
+        #: Gate rows ``v, a, b`` back to back, in emission order.  Each
+        #: gate's output is the newest variable when it is recorded, so
+        #: outputs increase along the rows and every fan-in precedes the
+        #: gates that read it.
+        self.gates = array("i")
+        #: Root clauses in emission order, with their frame tags (None =
+        #: frame-independent; clients set ``unit_tag`` around an
+        #: assertion so the obligation slicer can exclude units of later
+        #: frames) and the number of gate rows emitted before each.
+        self.root_clauses: List[List[int]] = []
+        self.root_tags: List[Optional[int]] = []
+        self.root_gates: List[int] = []
+        self.unit_tag: Optional[int] = None
         self.frozen: Set[int] = set()
         #: The in-place solver; None until the first :meth:`solve`.
         self.inner = None
         self._adopted: Optional[List[bool]] = None
-        #: Per-clause frame tag (None = frame-independent).  Clients set
-        #: ``unit_tag`` around an assertion so the obligation slicer can
-        #: exclude units belonging to later frames.
-        self.tags: List[Optional[int]] = []
-        self.unit_tag: Optional[int] = None
-        #: var -> indices of the clauses that define it (Tseitin triples,
-        #: claimed by :meth:`note_definition`); ``roots`` holds the
-        #: indices of every unclaimed clause (asserted units).  Together
-        #: they give the cone-of-influence slicer its fan-in direction.
-        self.definitions: Dict[int, List[int]] = {}
-        self.roots: List[int] = []
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -78,7 +93,7 @@ class ClauseLog:
         return self.nvars
 
     def add_clause(self, lits) -> bool:
-        """Record a clause (and hand it to the solver, once built).
+        """Record a root clause (and hand it to the solver, once built).
 
         Returns False when the solver finds the formula trivially
         unsatisfiable; before it is built, only an empty clause does."""
@@ -91,19 +106,58 @@ class ClauseLog:
             if not (lit and -nvars <= lit <= nvars):
                 raise FormalError(
                     f"literal {lit} references an unknown variable")
-        self.roots.append(len(self.clauses))
-        self.clauses.append(clause)
-        self.tags.append(self.unit_tag)
+        self.root_clauses.append(clause)
+        self.root_tags.append(self.unit_tag)
+        self.root_gates.append(len(self.gates) // 3)
         if self.inner is None:
             return bool(clause)
         return self.inner.add_clause(clause)
 
-    def note_definition(self, var: int, count: int) -> None:
-        """Claim the last ``count`` clauses as the definition of ``var``
-        (called by :class:`~repro.formal.aig.CnfMapper` right after it
-        emits a gate's Tseitin triple)."""
-        self.definitions[var] = self.roots[-count:]
-        del self.roots[-count:]
+    def add_and(self, v: int, a: int, b: int) -> bool:
+        """Record the AND gate ``v <-> a & b`` as one row (and hand its
+        three clauses to the solver, once built).
+
+        ``v`` must be the newest variable, not yet a gate, and ``a`` and
+        ``b`` literals of older ones: :class:`~repro.formal.aig.CnfMapper`
+        maps a gate right after its fan-in, and the slicer and
+        :meth:`SatContext.complete_model` rely on that order.  Anything
+        else raises :class:`FormalError` before the row is recorded."""
+        gates = self.gates
+        if v != self.nvars or not (a and b and -v < a < v and -v < b < v) \
+                or (gates and gates[-3] == v):
+            self._reject_gate(v, a, b)
+        gates.extend((v, a, b))
+        inner = self.inner
+        if inner is None:
+            return True
+        ok = inner.add_clause([-v, a])
+        ok = inner.add_clause([-v, b]) and ok
+        return inner.add_clause([v, -a, -b]) and ok
+
+    def _reject_gate(self, v: int, a: int, b: int) -> None:
+        nvars = self.nvars
+        for lit in (v, a, b):
+            if not (lit and -nvars <= lit <= nvars):
+                raise FormalError(
+                    f"literal {lit} references an unknown variable")
+        raise FormalError(
+            f"gate {v} is not the newest variable after its fan-in")
+
+    def expand(self) -> List[Tuple[List[int], Optional[int]]]:
+        """Every recorded clause with its frame tag, in emission order: a
+        gate row as its three Tseitin clauses, untagged."""
+        gates = self.gates
+        out: List[Tuple[List[int], Optional[int]]] = []
+        start = 0
+        roots = zip(self.root_clauses, self.root_tags, self.root_gates)
+        for clause, tag, stop in (*roots, (None, None, len(gates) // 3)):
+            rows = iter(gates[3 * start:3 * stop])
+            for v, a, b in zip(rows, rows, rows):
+                out += ([-v, a], None), ([-v, b], None), ([v, -a, -b], None)
+            if clause is not None:
+                out.append((clause, tag))
+            start = stop
+        return out
 
     def freeze_var(self, var: int) -> None:
         """Protect a variable from elimination (see
@@ -121,7 +175,7 @@ class ClauseLog:
             solver.new_var()
         for var in self.frozen:
             solver.freeze_var(var)
-        for clause in self.clauses:
+        for clause, _ in self.expand():
             solver.add_clause(clause)
         return solver
 
@@ -228,17 +282,7 @@ class SatContext:
         # Mapping the assumptions may emit their cones; do it before the
         # clause snapshot so the obligation is self-contained.
         dimacs = [self.mapper.assumption(lit) for lit in assumptions]
-        log = self.solver
-        sliced = slice_cnf(
-            clauses=log.clauses,
-            nvars=log.nvars,
-            definitions=log.definitions,
-            roots=log.roots,
-            tags=log.tags,
-            assumptions=dimacs,
-            frozen=log.frozen,
-            unit_cutoff=frame,
-        )
+        sliced = slice_cnf(self.solver, dimacs, unit_cutoff=frame)
         totals = self._slice_totals
         totals["obligations_exported"] = \
             totals.get("obligations_exported", 0) + 1
@@ -267,9 +311,9 @@ class SatContext:
         Variables the slice kept take the worker's values via the remap
         (the identity when ``remap`` is None); every gate variable the
         slice dropped — or that was only mapped *after* the export, as
-        the shared context kept growing — is *evaluated* from its
-        recorded Tseitin definition (children were emitted first, so one
-        forward pass suffices).  The result is a consistent execution of
+        the shared context kept growing — is *evaluated* from its gate
+        row (fan-ins were emitted first, so one forward pass over the
+        rows suffices).  The result is a consistent execution of
         the recorded formula — witness traces read through ``value`` /
         ``word_value`` never show gate values that contradict their
         fan-in — rather than a zero-fill that merely matches on the
@@ -289,22 +333,14 @@ class SatContext:
                 if old <= log.nvars:
                     model[old] = values[new] if new < n else False
                     known[old] = 1
-        clauses = log.clauses
-        for var, def_idx in log.definitions.items():
-            if known[var]:
-                continue
-            # v <-> a & b: the triple's first two clauses are [-v, a]
-            # and [-v, b]; fan-in variables precede v in emission order,
-            # so their values (kept, evaluated, or free-input False) are
-            # final by the time v is reached.
-            c0 = clauses[def_idx[0]]
-            c1 = clauses[def_idx[1]]
-            a = c0[1] if c0[0] == -var else c0[0]
-            b = c1[1] if c1[0] == -var else c1[0]
-            va = model[a] if a > 0 else not model[-a]
-            vb = model[b] if b > 0 else not model[-b]
-            model[var] = va and vb
-            known[var] = 1
+        # Gate outputs follow their fan-in along the rows, so the fan-in
+        # values (kept, evaluated, or free-input False) are final by the
+        # time a dropped gate is reached.
+        rows = iter(log.gates)
+        for v, a, b in zip(rows, rows, rows):
+            if not known[v]:
+                model[v] = (model[a] if a > 0 else not model[-a]) and \
+                    (model[b] if b > 0 else not model[-b])
         return model
 
     def adopt_verdict(self, obligation, verdict) -> None:

@@ -215,10 +215,7 @@ class ConeWalkMapper(CnfMapper):
                 a = self._leaf_or_var(fanins[0])
                 b = self._leaf_or_var(fanins[1])
                 v = self.solver.new_var()
-                self.solver.add_clause([-v, a])
-                self.solver.add_clause([-v, b])
-                self.solver.add_clause([v, -a, -b])
-                self.solver.note_definition(v, 3)
+                self.solver.add_and(v, a, b)
                 self.clauses_emitted += 3
                 self._node_var[inner] = v
             if node not in self._node_var:
@@ -252,9 +249,11 @@ def grow_and_map(ctx, seed):
 
 
 def recorded_formula(ctx):
+    """The recorded clauses in emission order with their tags, the frozen
+    set, the variable count and the mapper's clause count."""
     log = ctx.solver
-    return (log.clauses, log.definitions, log.roots, log.tags, log.frozen,
-            log.nvars, ctx.mapper.clauses_emitted)
+    return (log.expand(), log.frozen, log.nvars,
+            ctx.mapper.clauses_emitted)
 
 
 def fresh_walk_values(ctx, in_process=False):
@@ -350,29 +349,33 @@ def test_model_lit_rereads_parent_after_post_adoption_mapping():
 # proxy it replaces
 # ----------------------------------------------------------------------
 class EagerClauseLog:
-    """Reference log: a transparent proxy that records every clause and
-    feeds it straight to a solver built up front."""
+    """Reference log: a transparent proxy that records every clause, with
+    its tag, in emission order and feeds it straight to a solver built up
+    front (a gate as its three Tseitin clauses, untagged)."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
-        self.clauses = []
+        self.recorded = []
         self.frozen = set()
         self._adopted = None
-        self.tags = []
         self.unit_tag = None
-        self.definitions = {}
-        self.roots = []
 
     def add_clause(self, lits):
         clause = lits if type(lits) is list else list(lits)
-        self.roots.append(len(self.clauses))
-        self.clauses.append(clause)
-        self.tags.append(self.unit_tag)
-        return self.inner.add_clause(clause)
+        ok = self.inner.add_clause(clause)
+        self.recorded.append((clause, self.unit_tag))
+        return ok
 
-    def note_definition(self, var, count):
-        self.definitions[var] = self.roots[-count:]
-        del self.roots[-count:]
+    def add_and(self, v, a, b):
+        triple = ([-v, a], [-v, b], [v, -a, -b])
+        ok = True
+        for clause in triple:
+            ok = self.inner.add_clause(clause) and ok
+        self.recorded += ((clause, None) for clause in triple)
+        return ok
+
+    def expand(self):
+        return list(self.recorded)
 
     def freeze_var(self, var):
         self.frozen.add(var)
@@ -523,6 +526,36 @@ def test_out_of_range_literals_raise_when_recorded():
         for var in (2, 0):
             with pytest.raises(FormalError, match=f"unknown variable {var}"):
                 log.freeze_var(var)
+        # Gates whose output or either fan-in is 0 or past nvars (2): the
+        # eager reference's solver names the bad literal of the first
+        # clause it rejects, which may carry the opposite sign.
+        v = log.new_var()
+        recorded = log.expand()
+        for gate, bad in (((0, 1, -1), 0), ((3, 1, -1), 3),
+                          ((v, 0, 1), 0), ((v, 1, 0), 0),
+                          ((v, 3, 1), 3), ((v, 1, -3), 3)):
+            with pytest.raises(FormalError, match=f"literal -?{bad} "
+                               "references an unknown variable"):
+                log.add_and(*gate)
+            assert log.expand() == recorded, gate
+
+
+def test_gate_must_follow_its_fan_in():
+    """A gate row's output is the newest variable, recorded once, over
+    older fan-ins: the order the slicer's backward pass and the model
+    completion rely on.  Anything else is refused before recording."""
+    ctx = SatContext()
+    log = ctx.solver
+    a, b = log.new_var(), log.new_var()
+    v = log.new_var()
+    for gate in ((a, b, -b), (v, a, v), (v, -v, b)):
+        with pytest.raises(FormalError, match="not the newest variable"):
+            log.add_and(*gate)
+    assert log.add_and(v, a, -b)
+    with pytest.raises(FormalError, match="not the newest variable"):
+        log.add_and(v, b, -a)
+    assert log.expand() == [([-v, a], None), ([-v, -b], None),
+                            ([v, -a, b], None)]
 
 
 def test_engine_run_builds_no_in_place_solver(monkeypatch):
@@ -548,4 +581,4 @@ def test_engine_run_builds_no_in_place_solver(monkeypatch):
     assert result.verdict == "insecure"
     (model,) = models
     log = model.context.solver
-    assert log.clauses and log.inner is None
+    assert log.gates and log.inner is None

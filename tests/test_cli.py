@@ -283,6 +283,27 @@ def test_cache_env_is_the_cache_dir_default(monkeypatch):
             .cache_dir == "/tmp/c"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "orc", "--k", "1"],
+    ["methodology", "orc", "--k", "1"],
+    ["sweep", "--variants", "orc", "--k", "1"],
+], ids=["check", "methodology", "sweep"])
+def test_unusable_cache_dir_is_a_usage_error(argv, tmp_path, monkeypatch,
+                                              capsys):
+    """A cache directory under a regular file exits 64 with one line
+    naming it — not a traceback exiting 1, ``check``'s P-alert code —
+    whether it comes from the flag or from REPRO_ENGINE_CACHE."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    bad = str(blocker / "x")
+    assert main(argv + ["--cache-dir", bad]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and bad in err and "Not a directory" in err
+    monkeypatch.setenv("REPRO_ENGINE_CACHE", bad)
+    assert main(argv) == 64
+    assert bad in capsys.readouterr().err
+
+
 def test_connect_rejects_malformed_address(capsys):
     rc = main(["check", "secure", "--connect", "not-an-address"])
     assert rc == 64

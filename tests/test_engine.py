@@ -250,7 +250,7 @@ def test_sliced_export_drops_unrelated_cones():
     other = aig.and_(c, d)
     ctx.mapper.assumption(other)       # unrelated emitted cone
     sliced = ctx.export_obligation("t", assumptions=[target])
-    assert sliced.size()["clauses"] < len(ctx.solver.clauses)
+    assert sliced.size()["clauses"] < len(ctx.solver.expand())
     assert sliced.remap is not None and sliced.nvars < ctx.solver.nvars
     verdict = solve_obligation(sliced)
     assert verdict.sat

@@ -11,17 +11,27 @@ when unrelated frames, registers or commitments grow the shared
 context, which is what makes the proof cache hit across window lengths,
 worker counts and runs.
 
+The slicer and the model completion read the clause log's gate rows.
+``reference_slice_cnf`` and ``reference_complete_model`` are the
+clause-list implementations they replaced, kept here as differential
+references: fed the log's expanded clauses, with each gate's clause
+indices and the root clause indices derived from its gate rows, they
+must give the same ``SliceResult`` and the same completed model.
+
 ``REPRO_FUZZ_SCALE`` multiplies the iteration counts (CI can turn the
 screws); the ``slow`` marker gates an extra high-volume pass.
 """
 
 import os
 import random
+from itertools import compress
 
 import pytest
 
 from repro.core import UpecChecker, UpecMethodology, UpecModel, UpecScenario
 from repro.engine import ProofEngine, ResultCache, solve_obligation
+from repro.engine import slice as slice_module
+from repro.engine.slice import SliceResult, slice_cnf
 from repro.formal.bmc import SatContext
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
@@ -81,25 +91,161 @@ def random_miter_context(rng):
     return ctx, target
 
 
+# ----------------------------------------------------------------------
+# Reference: the clause-list slicer and model completion
+# ----------------------------------------------------------------------
+def reference_formula(log):
+    """The log in the form the clause-list slicer read: the expanded
+    clauses and their tags, each gate variable's three clause indices,
+    and the indices of every other (root) clause.  A gate's clauses are
+    found by content, row by row, so this does not share the log's merge
+    of rows and roots."""
+    expanded = log.expand()
+    clauses = [clause for clause, _ in expanded]
+    tags = [tag for _, tag in expanded]
+    definitions, roots = {}, []
+    rows = iter(log.gates)
+    gates = list(zip(rows, rows, rows))
+    row = ci = 0
+    while ci < len(clauses):
+        if row < len(gates):
+            v, a, b = gates[row]
+            if clauses[ci:ci + 3] == [[-v, a], [-v, b], [v, -a, -b]] \
+                    and tags[ci:ci + 3] == [None] * 3:
+                definitions[v] = [ci, ci + 1, ci + 2]
+                row += 1
+                ci += 3
+                continue
+        roots.append(ci)
+        ci += 1
+    assert row == len(gates), "a gate row has no triple in the expansion"
+    return clauses, tags, definitions, roots
+
+
+def reference_slice_cnf(clauses, nvars, definitions, roots, tags,
+                        assumptions, frozen, unit_cutoff=None):
+    """The clause-list cone-of-influence slicer: a reached variable pulls
+    in the clauses that define it, and the kept clause indices are
+    sorted back into emission order."""
+    reached = bytearray(nvars + 1)
+    stack = []
+    keep = []
+    for lit in assumptions:
+        var = abs(lit)
+        if not reached[var]:
+            reached[var] = 1
+            stack.append(var)
+    for ci in roots:
+        tag = tags[ci]
+        if unit_cutoff is not None and tag is not None and tag > unit_cutoff:
+            continue
+        keep.append(ci)
+        for lit in clauses[ci]:
+            var = abs(lit)
+            if not reached[var]:
+                reached[var] = 1
+                stack.append(var)
+    while stack:
+        for ci in definitions.get(stack.pop(), ()):
+            keep.append(ci)
+            for lit in clauses[ci]:
+                var = abs(lit)
+                if not reached[var]:
+                    reached[var] = 1
+                    stack.append(var)
+
+    keep.sort()
+    ordered = list(compress(range(nvars + 1), reached))
+    if len(ordered) == nvars:
+        return SliceResult(
+            nvars=nvars,
+            clauses=[clauses[ci] for ci in keep],
+            assumptions=list(assumptions),
+            frozen=sorted(frozen),
+            remap=None,
+            vars_in=nvars,
+            clauses_in=len(clauses),
+        )
+    number = [0] * (2 * nvars + 1)
+    for new, var in enumerate(ordered, 1):
+        number[var] = new
+        number[-var] = -new
+    renumber = number.__getitem__
+    return SliceResult(
+        nvars=len(ordered),
+        clauses=[list(map(renumber, clauses[ci])) for ci in keep],
+        assumptions=list(map(renumber, assumptions)),
+        frozen=sorted(number[v] for v in frozen if reached[v]),
+        remap=[0] + ordered,
+        vars_in=nvars,
+        clauses_in=len(clauses),
+    )
+
+
+def reference_complete_model(log, obligation, values):
+    """The clause-triple model completion: a dropped gate's fan-ins are
+    read back from the first two clauses of its definition."""
+    clauses, _, definitions, _ = reference_formula(log)
+    model = [False] * (log.nvars + 1)
+    known = bytearray(log.nvars + 1)
+    n = len(values)
+    if obligation.remap is None:
+        for var in range(1, min(n, log.nvars + 1)):
+            model[var] = values[var]
+            known[var] = 1
+    else:
+        for new in range(1, len(obligation.remap)):
+            old = obligation.remap[new]
+            if old <= log.nvars:
+                model[old] = values[new] if new < n else False
+                known[old] = 1
+    for var, def_idx in definitions.items():
+        if known[var]:
+            continue
+        c0 = clauses[def_idx[0]]
+        c1 = clauses[def_idx[1]]
+        a = c0[1] if c0[0] == -var else c0[0]
+        b = c1[1] if c1[0] == -var else c1[0]
+        va = model[a] if a > 0 else not model[-a]
+        vb = model[b] if b > 0 else not model[-b]
+        model[var] = va and vb
+        known[var] = 1
+    return model
+
+
+def assert_slice_matches_reference(log, assumptions, unit_cutoff=None):
+    """The gate-row slice of ``log`` equals the clause-list reference's,
+    field by field; returns it."""
+    sliced = slice_cnf(log, assumptions, unit_cutoff)
+    clauses, tags, definitions, roots = reference_formula(log)
+    reference = reference_slice_cnf(
+        clauses, log.nvars, definitions, roots, tags, assumptions,
+        log.frozen, unit_cutoff)
+    assert sliced == reference
+    return sliced
+
+
+def assert_completion_matches_reference(ctx, obligation, rng):
+    """Completing a random model of ``obligation`` gives the reference's
+    completed model."""
+    values = [rng.random() < 0.5 for _ in range(obligation.nvars + 1)]
+    assert ctx.complete_model(obligation, values) == \
+        reference_complete_model(ctx.solver, obligation, values)
+
+
 def assert_model_covers_log(obligation, verdict, ctx, unit_cutoff=None):
     """The completed worker model must satisfy every recorded clause of
     the *full* context formula — except units the frame cutoff
     deliberately dropped — and every assumption of the query."""
     model = ctx.complete_model(obligation, verdict.model_list())
-    log = ctx.solver
-    dropped = set()
-    if unit_cutoff is not None:
-        dropped = {ci for ci in log.roots
-                   if log.tags[ci] is not None
-                   and log.tags[ci] > unit_cutoff}
 
     def holds(lit):
         var = abs(lit)
         value = model[var] if var < len(model) else False
         return value if lit > 0 else not value
 
-    for ci, clause in enumerate(log.clauses):
-        if ci in dropped:
+    for clause, tag in ctx.solver.expand():
+        if unit_cutoff is not None and tag is not None and tag > unit_cutoff:
             continue
         assert any(holds(lit) for lit in clause), \
             f"completed model violates recorded clause {clause}"
@@ -115,12 +261,17 @@ def run_random_miters(seed, count):
         if target in (0, 1):
             continue  # structurally constant miter: nothing to solve
         sliced = ctx.export_obligation("sliced", assumptions=[target])
-        sliced.meta["dimacs_assumptions"] = [ctx.mapper.assumption(target)]
+        dimacs = [ctx.mapper.assumption(target)]
+        sliced.meta["dimacs_assumptions"] = dimacs
         log = ctx.solver
-        assert sliced.size()["clauses"] <= len(log.clauses)
+        assert sliced.size()["clauses"] <= len(log.expand())
         assert sliced.nvars <= log.nvars
         if sliced.remap is not None:
             proper_slices += 1
+        assert_slice_matches_reference(log, dimacs)
+        for cutoff in (0, 1, 2):
+            assert_slice_matches_reference(log, dimacs, unit_cutoff=cutoff)
+        assert_completion_matches_reference(ctx, sliced, rng)
         vs = solve_obligation(sliced)
         # The reference: the full recorded formula, solved in place.
         full = ctx.solve(assumptions=[target])
@@ -177,6 +328,10 @@ def test_random_frame_cutoff_matches_rebuilt_reference():
             continue
         sliced = ctx_all.export_obligation(
             "cut", assumptions=[target], frame=cutoff)
+        assert_slice_matches_reference(
+            ctx_all.solver, [ctx_all.mapper.assumption(target)],
+            unit_cutoff=cutoff)
+        assert_completion_matches_reference(ctx_all, sliced, rng)
         ctx_ref, target_ref = build(cutoff)
         reference = ctx_ref.solve(assumptions=[target_ref])
         verdict = solve_obligation(sliced)
@@ -230,6 +385,23 @@ def test_methodology_slice_differential_all_variants():
             assert stats["obligations_exported"] > 0, name
             assert stats["slice_clauses_out"] <= \
                 stats["slice_clauses_in"], name
+
+
+def test_tab1_frame_obligations_match_reference_slicer(monkeypatch):
+    """Every frame obligation the four Tab.-I cells export at k=2 is
+    sliced exactly as the clause-list reference slices it."""
+    compared = []
+
+    def checked(log, assumptions, unit_cutoff=None):
+        compared.append(unit_cutoff)
+        return assert_slice_matches_reference(log, assumptions, unit_cutoff)
+
+    monkeypatch.setattr(slice_module, "slice_cnf", checked)
+    with ProofEngine(jobs=1) as engine:
+        for name in VARIANTS:
+            UpecMethodology(_soc(name), SCENARIO, engine=engine).run(k=2)
+    # Frame obligations carry their frame as the cutoff.
+    assert len(compared) >= len(VARIANTS) and None not in compared
 
 
 def test_closure_slice_differential():
