@@ -36,7 +36,7 @@ import threading
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engine.obligation import ProofObligation
+from repro.engine.obligation import ProofObligation, decode_cnf, encode_cnf
 from repro.errors import DistError
 
 #: Bump on any incompatible message-shape change; handshakes between
@@ -243,7 +243,7 @@ def obligation_to_wire(obligation: ProofObligation) -> Dict[str, Any]:
     return {
         "name": obligation.name,
         "nvars": obligation.nvars,
-        "clauses": [list(c) for c in obligation.clauses],
+        "clauses": decode_cnf(obligation.cnf),
         "assumptions": list(obligation.assumptions),
         "frozen": list(obligation.frozen),
         "conflict_limit": obligation.conflict_limit,
@@ -256,17 +256,24 @@ def obligation_from_wire(data: Dict[str, Any]) -> ProofObligation:
     """Inverse of :func:`obligation_to_wire`.  Unknown keys are ignored,
     among them the preprocessing flag older clients send: a verdict
     holds for its formula whether or not the formula was
-    preprocessed."""
+    preprocessed.
+
+    The wire's clause lists become the obligation's flat ``cnf``
+    (:func:`~repro.engine.obligation.encode_cnf`).  A literal that is
+    not an integer or does not fit a C ``int`` makes the payload
+    malformed (:class:`ProtocolError`); a zero literal, which the flat
+    form cannot hold, raises :class:`~repro.errors.FormalError`, as an
+    out-of-range one does when the obligation is solved."""
     try:
         return ProofObligation(
             name=str(data["name"]),
             nvars=int(data["nvars"]),
-            clauses=[list(map(int, c)) for c in data["clauses"]],
+            cnf=encode_cnf(data["clauses"]),
             assumptions=list(map(int, data["assumptions"])),
             frozen=list(map(int, data.get("frozen", ()))),
             conflict_limit=data.get("conflict_limit"),
             wall_budget=data.get("wall_budget"),
             meta=dict(data.get("meta", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed obligation payload: {exc}") from exc

@@ -144,7 +144,15 @@ class RemotePool:
         return self._conn
 
     def _recv(self, conn: Connection) -> Dict[str, Any]:
-        message = conn.recv()
+        """Receive, surfacing a closed or reset connection as DistError
+        (which :meth:`solve_ordered` redials) rather than a raw
+        ConnectionResetError."""
+        try:
+            message = conn.recv()
+        except OSError as exc:
+            raise DistError(
+                f"lost connection to broker at {self.address[0]}:"
+                f"{self.address[1]}: {exc}") from exc
         if message is None:
             raise DistError(
                 f"broker at {self.address[0]}:{self.address[1]} closed the "

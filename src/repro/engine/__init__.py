@@ -44,6 +44,8 @@ from repro.engine.obligation import (
     UNSAT,
     ProofObligation,
     Verdict,
+    decode_cnf,
+    encode_cnf,
     pack_model,
     solve_obligation,
     unpack_model,
@@ -76,6 +78,8 @@ __all__ = [
     "UNKNOWN",
     "UNSAT",
     "Verdict",
+    "decode_cnf",
+    "encode_cnf",
     "pack_model",
     "slice_cnf",
     "solve_obligation",

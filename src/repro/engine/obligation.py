@@ -8,6 +8,18 @@ commitment, frame).  Because it carries everything the solver needs, it
 can be shipped to a worker process, hashed for a persistent result
 cache, or replayed for debugging.
 
+The clauses travel as one flat ``array("i")``, the obligation's
+``cnf``: each clause's literals in order, followed by a 0, and the
+clauses back to back in emission order (``[[1, -2], [], [3]]`` is
+``1 -2 0 0 3 0``).  An empty clause is a lone 0; a literal is never
+0, so a well-formed ``cnf`` is empty or ends in 0.  The slicer writes
+this array straight from the clause log's gate rows, the fingerprint
+hashes its buffer in one call, and a pickled obligation carries it as
+one bytes object.  :func:`encode_cnf` and :func:`decode_cnf` convert
+between it and a list of clause lists; only the solve (which feeds the
+:class:`~repro.formal.preprocess.Simplifier` a clause list) and the
+wire codec (which ships clause lists) decode it.
+
 :func:`solve_obligation` is the pure solving function: same obligation
 in, same :class:`Verdict` out, regardless of which process runs it —
 this is what makes parallel and sequential engine runs bit-identical.
@@ -21,7 +33,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import FormalError
 from repro.formal.preprocess import (PASS_SETTINGS, Simplifier, SimplifyStats,
@@ -46,10 +59,47 @@ POISONED = "poisoned"
 #: are circumstances of one run, not facts about the formula.
 DEFINITE = (SAT, UNSAT)
 
-_FINGERPRINT_SALT = b"upec-obligation-v1"
-#: Clauses hashed per ``update``: one join per chunk saves a call per
-#: clause, and a bounded chunk keeps the joined bytes small.
-_FINGERPRINT_CHUNK = 256
+_FINGERPRINT_SALT = b"upec-obligation-v2"
+
+
+def encode_cnf(clauses: Iterable[Sequence[int]]) -> array:
+    """The flat ``cnf`` of a list of clauses (see the module docstring).
+
+    A zero literal would read as a clause boundary, so it raises
+    :class:`FormalError`; a literal that does not fit a C ``int``
+    raises ``OverflowError`` and a non-integer one ``TypeError``."""
+    cnf = array("i")
+    extend = cnf.extend
+    append = cnf.append
+    for clause in clauses:
+        if 0 in clause:
+            raise FormalError("literal 0 references an unknown variable")
+        extend(clause)
+        append(0)
+    return cnf
+
+
+def _check_terminated(cnf: array) -> None:
+    if cnf and cnf[-1]:
+        raise FormalError("the CNF does not end with a clause terminator")
+
+
+def decode_cnf(cnf: array) -> List[List[int]]:
+    """The clauses of a flat ``cnf``, each a fresh list, in order.  A
+    non-empty ``cnf`` that does not end in 0 raises
+    :class:`FormalError`: decoding it would drop its last clause."""
+    _check_terminated(cnf)
+    lits = cnf.tolist()
+    clauses: List[List[int]] = []
+    append = clauses.append
+    index = lits.index
+    start = 0
+    end = len(lits)
+    while start < end:
+        stop = index(0, start)
+        append(lits[start:stop])
+        start = stop + 1
+    return clauses
 
 
 def pack_model(values: Sequence[bool]) -> bytes:
@@ -84,7 +134,8 @@ class ProofObligation:
 
     name: str
     nvars: int
-    clauses: List[List[int]]
+    #: The clauses, flat and zero-terminated (see the module docstring).
+    cnf: array
     assumptions: List[int]
     frozen: List[int] = field(default_factory=list)
     conflict_limit: Optional[int] = None
@@ -97,34 +148,27 @@ class ProofObligation:
     remap: Optional[List[int]] = None   # new var -> original var (0 unused)
 
     def fingerprint(self) -> str:
-        """Content hash of the formula (clauses + assumptions + frozen
+        """Content hash of the formula (``cnf`` + assumptions + frozen
         set).  The conflict limit, the metadata and the slice remap are
         all excluded: a definite sat/unsat verdict is valid under any
         limit, and the remap is context bookkeeping that does not change
-        what is being proved.  The constant ``b"1"`` stands where a
-        preprocessing flag used to be hashed, so fingerprints (and the
-        cache entries keyed by them) are those of preprocessed solves."""
+        what is being proved.  The lengths of the three parts are hashed
+        first, so no two formulas share a byte stream."""
+        cnf = self.cnf
         h = hashlib.sha256(_FINGERPRINT_SALT)
-        h.update(b"1")
-        h.update(array("q", [self.nvars]).tobytes())
-        # Each clause's bytes, then ";", hashed a chunk at a time.
-        clauses = self.clauses
-        for first in range(0, len(clauses), _FINGERPRINT_CHUNK):
-            h.update(b";".join([
-                array("q", clause).tobytes()
-                for clause in clauses[first:first + _FINGERPRINT_CHUNK]]))
-            h.update(b";")
-        h.update(b"|a|")
+        h.update(array("q", [self.nvars, len(cnf), len(self.assumptions),
+                             len(self.frozen)]).tobytes())
+        h.update(cnf)
         h.update(array("q", self.assumptions).tobytes())
-        h.update(b"|f|")
         h.update(array("q", sorted(self.frozen)).tobytes())
         return h.hexdigest()
 
     def size(self) -> Dict[str, int]:
+        clauses = self.cnf.count(0)
         return {
             "nvars": self.nvars,
-            "clauses": len(self.clauses),
-            "literals": sum(len(c) for c in self.clauses),
+            "clauses": clauses,
+            "literals": len(self.cnf) - clauses,
         }
 
 
@@ -372,8 +416,9 @@ def solve_obligation(obligation: ProofObligation,
     compared and the one known way it can differ.
 
     Out-of-range input (a literal or frozen variable outside
-    ``1..nvars``, or a zero literal) raises :class:`FormalError`, also
-    where the literal would not change the answer.
+    ``1..nvars``, or a zero assumption) raises :class:`FormalError`,
+    also where the literal would not change the answer, and so does a
+    ``cnf`` whose last clause has no terminating 0.
 
     ``cancel_check`` is polled inside the CDCL conflict loop (every
     :data:`repro.formal.solver.CANCEL_CHECK_EVERY` conflicts); returning
@@ -392,6 +437,7 @@ def solve_obligation(obligation: ProofObligation,
     deadline = None
     if obligation.wall_budget is not None and obligation.wall_budget > 0:
         deadline = time.monotonic() + obligation.wall_budget
+    _check_terminated(obligation.cnf)
     frozen = _frozen_vars(obligation)
     fingerprint = obligation.fingerprint()
     if simp_cache is not None:
@@ -404,8 +450,9 @@ def solve_obligation(obligation: ProofObligation,
                            cancel_check=cancel_check, deadline=deadline)
     simp_stats = SimplifyStats()
     simp_stats.simplifications = 1
-    result = Simplifier(obligation.nvars, obligation.clauses, frozen=frozen,
-                        stats=simp_stats, **PASS_SETTINGS).run()
+    result = Simplifier(obligation.nvars, decode_cnf(obligation.cnf),
+                        frozen=frozen, stats=simp_stats,
+                        **PASS_SETTINGS).run()
     # A refuted pass leaves the empty clause: it fails to load, and the
     # search answers UNSAT at once.
     clauses = [[unit] for unit in result.units] if result.ok else [[]]

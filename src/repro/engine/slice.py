@@ -32,9 +32,17 @@ variables the query never reads, so the slice is equisatisfiable with
 the full formula under the same assumptions, and any model of the slice
 extends to a model of the full formula by evaluating the dropped gates.
 
-Finally the kept rows, expanded to their clauses, and the kept root
-clauses are merged back in emission order, the surviving variables are
-renumbered 1..m in increasing original order, and a remap table
+Finally the surviving variables are renumbered 1..m in increasing
+original order, and the kept rows, expanded to their clauses, and the
+kept root clauses are merged back in emission order into the flat,
+zero-terminated ``cnf`` of :mod:`repro.engine.obligation`.  The rows
+are emitted column-wise, with no Python loop per gate or per clause:
+each of the ``v``, ``a`` and ``b`` columns is compressed by the mask of
+rows whose output the cone reached and renumbered, and the columns (and
+their negations) fill a block of ten slots a gate,
+``-v a 0 -v b 0 v -a -b 0``, by strided slice assignment.  Each kept
+root clause is spliced in where it was emitted: a running count of the
+kept rows recorded before it gives its cut in the block.  A remap table
 (new -> old) is kept on the obligation, so a worker's model maps back
 onto the exporting context via ``SatContext.adopt_verdict`` (which also
 re-evaluates the dropped gates so witness reads stay consistent with
@@ -50,8 +58,10 @@ windows, jobs settings and runs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress
+from operator import neg
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -63,19 +73,20 @@ class SliceResult:
     """A sliced, canonically renumbered CNF plus its remap table."""
 
     nvars: int                    # variable count after renumbering
-    clauses: List[List[int]]      # renumbered clauses, original order
+    cnf: array                    # renumbered clauses, original order, flat
     assumptions: List[int]        # renumbered assumption literals
     frozen: List[int]             # renumbered frozen variables (sorted)
     remap: Optional[List[int]]    # new var -> original var; None = identity
     vars_in: int                  # context variable count before slicing
     clauses_in: int               # recorded clause count before slicing
+    clauses_out: int              # clause count of ``cnf``
 
     def stats(self) -> Dict[str, int]:
         return {
             "slice_vars_in": self.vars_in,
             "slice_vars_out": self.nvars,
             "slice_clauses_in": self.clauses_in,
-            "slice_clauses_out": len(self.clauses),
+            "slice_clauses_out": self.clauses_out,
         }
 
 
@@ -101,7 +112,7 @@ def slice_cnf(
     reached = bytearray(nvars + 1)
     for lit in assumptions:
         reached[lit if lit > 0 else -lit] = 1
-    kept: List[Tuple[Optional[List[int]], int]] = []
+    kept: List[Tuple[List[int], int]] = []
     for clause, tag, before in zip(log.root_clauses, log.root_tags,
                                    log.root_gates):
         if unit_cutoff is not None and tag is not None and tag > unit_cutoff:
@@ -134,30 +145,41 @@ def slice_cnf(
             number[-var] = -new
         remap = [0] + ordered
     renumber = number.__getitem__
-    # Kept gate rows and kept root clauses, merged in emission order.  A
-    # row renumbers to output 0 exactly when the cone left it out.
-    clauses: List[List[int]] = []
-    append = clauses.append
-    start = 0
-    kept.append((None, len(gates) // 3))
-    for root, stop in kept:
-        rows = map(renumber, gates[3 * start:3 * stop])
-        for v, a, b in zip(rows, rows, rows):
-            if v:
-                nv = -v
-                append([nv, a])
-                append([nv, b])
-                append([v, -a, -b])
-        if root is not None:
-            append(list(map(renumber, root)))
-        start = stop
+    # The kept gate rows, column by column: a row is kept exactly when
+    # the cone reached its output.
+    outputs = gates[0::3]
+    mask = bytes(map(reached.__getitem__, outputs))
+    v = array("i", map(renumber, compress(outputs, mask)))
+    a = array("i", map(renumber, compress(gates[1::3], mask)))
+    b = array("i", map(renumber, compress(gates[2::3], mask)))
+    nv = array("i", map(neg, v))
+    block = array("i", [0]) * (10 * len(v))
+    block[0::10] = nv
+    block[1::10] = a
+    block[3::10] = nv
+    block[4::10] = b
+    block[6::10] = v
+    block[7::10] = array("i", map(neg, a))
+    block[8::10] = array("i", map(neg, b))
+    # Splice each kept root clause in after the kept rows emitted
+    # before it.
+    cnf = array("i")
+    scanned = emitted = 0
+    for root, before in kept:
+        upto = emitted + mask.count(1, scanned, before)
+        cnf += block[10 * emitted:10 * upto]
+        cnf.extend(map(renumber, root))
+        cnf.append(0)
+        scanned, emitted = before, upto
+    cnf += block[10 * emitted:]
     return SliceResult(
         nvars=len(ordered),
-        clauses=clauses,
+        cnf=cnf,
         assumptions=list(map(renumber, assumptions)),
-        frozen=sorted(number[v] for v in log.frozen if reached[v]),
+        frozen=sorted(number[var] for var in log.frozen if reached[var]),
         remap=remap,
         vars_in=nvars,
         # Three clauses a gate, as many as the row has entries.
         clauses_in=len(log.root_clauses) + len(gates),
+        clauses_out=3 * len(v) + len(kept),
     )

@@ -291,7 +291,7 @@ class SatContext:
         return ProofObligation(
             name=name,
             nvars=sliced.nvars,
-            clauses=sliced.clauses,
+            cnf=sliced.cnf,
             assumptions=sliced.assumptions,
             frozen=sliced.frozen,
             conflict_limit=conflict_limit,

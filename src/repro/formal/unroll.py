@@ -25,6 +25,18 @@ from repro.hdl.expr import Expr, Input, Reg
 InputProvider = Callable[[str, int, int], Bits]  # (name, width, frame) -> bits
 
 
+def _input_bits(aig: Aig, input_provider: Optional[InputProvider],
+                node: Input, frame: int) -> Bits:
+    """The literals of an input at a frame: the provider's, or fresh
+    AIG inputs."""
+    if input_provider is not None:
+        bits = input_provider(node.name, node.width, frame)
+        if len(bits) != node.width:
+            raise FormalError(f"input provider width mismatch for {node.name!r}")
+        return bits
+    return aig.new_inputs(node.width)
+
+
 class Unroller:
     """Unroll one circuit instance over time."""
 
@@ -65,14 +77,6 @@ class Unroller:
             return self.aig.new_inputs(reg.width)
         return self.aig.new_inputs(reg.width)
 
-    def _input_bits(self, node: Input, frame: int) -> Bits:
-        if self.input_provider is not None:
-            bits = self.input_provider(node.name, node.width, frame)
-            if len(bits) != node.width:
-                raise FormalError(f"input provider width mismatch for {node.name!r}")
-            return bits
-        return self.aig.new_inputs(node.width)
-
     def _build_frame0(self) -> None:
         frame0 = {reg: self._initial_bits(reg) for reg in self.circuit.regs.values()}
         self._reg_bits.append(frame0)
@@ -81,6 +85,12 @@ class Unroller:
     def _push_frame_memo(self, frame: int) -> None:
         memo: Dict[int, tuple] = {}
         reg_bits = self._reg_bits[frame]
+        # The leaf reader is kept by the frame's BitBlaster, which the
+        # unroller keeps: it must not reach back to the unroller, or the
+        # whole model (AIG included) would be a reference cycle that
+        # only a full collection frees.
+        aig = self.aig
+        input_provider = self.input_provider
 
         def leaf(node: Expr) -> Bits:
             if isinstance(node, Reg):
@@ -88,7 +98,8 @@ class Unroller:
             if isinstance(node, Input):
                 key = id(node)
                 if key not in memo:
-                    memo[key] = (node, self._input_bits(node, frame))
+                    memo[key] = (node, _input_bits(aig, input_provider,
+                                                   node, frame))
                 return memo[key][1]
             raise FormalError(f"unexpected leaf {node!r}")  # pragma: no cover
 

@@ -29,7 +29,8 @@ from repro.dist import Broker, RemotePool, obligation_to_wire
 from repro.dist.chaos import ChaosPlan, ChaosProxy
 from repro.dist.protocol import Connection, ProtocolError, frame_message
 from repro.engine import ProofEngine
-from repro.engine.obligation import ProofObligation, solve_obligation
+from repro.engine.obligation import (ProofObligation, encode_cnf,
+                                     solve_obligation)
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
 
@@ -107,7 +108,7 @@ def _toy_obligations(count=4):
         obligations.append(ProofObligation(
             name=f"toy{i}",
             nvars=4 + i,
-            clauses=[[1, 2], [-1, 3], [-2, -3], [4 + i]],
+            cnf=encode_cnf([[1, 2], [-1, 3], [-2, -3], [4 + i]]),
             assumptions=[1] if i % 2 else [-1],
         ))
     return obligations

@@ -28,13 +28,15 @@ from repro.dist import (
     obligation_to_wire,
     parse_address,
 )
-from repro.dist.protocol import dial
+from repro.dist.protocol import ProtocolError, dial
 from repro.dist.scheduler import Scheduler
 from repro.engine import ProofEngine
-from repro.engine.obligation import ProofObligation, solve_obligation
+from repro.engine.obligation import (ProofObligation, encode_cnf,
+                                     solve_obligation)
 from repro.errors import DistError
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
+from test_preprocess_differential import reference_fingerprint_v1
 
 _MP = multiprocessing.get_context("fork")
 
@@ -120,7 +122,7 @@ def _toy_obligations(count=4):
         obligations.append(ProofObligation(
             name=f"toy{i}",
             nvars=4 + i,
-            clauses=[[1, 2], [-1, 3], [-2, -3], [4 + i]],
+            cnf=encode_cnf([[1, 2], [-1, 3], [-2, -3], [4 + i]]),
             assumptions=[1] if i % 2 else [-1],
         ))
     return obligations
@@ -147,7 +149,7 @@ def _run_methodology(variant, engine, k=2):
 # ----------------------------------------------------------------------
 def test_obligation_wire_roundtrip_preserves_fingerprint():
     obligation = ProofObligation(
-        name="wire", nvars=5, clauses=[[1, -2], [3, 4, 5]],
+        name="wire", nvars=5, cnf=encode_cnf([[1, -2], [3, 4, 5]]),
         assumptions=[2], frozen=[1, 3],
         conflict_limit=123, meta={"kind": "test", "frame": 2},
         remap=[0, 7, 8, 9, 10, 11],
@@ -159,13 +161,45 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     assert back.conflict_limit == 123
     # Slice bookkeeping stays client-side.
     assert back.remap is None
-    # Fingerprints are those of the preprocessing flag's days, and a
-    # payload that still carries the flag parses to the same obligation.
-    assert obligation.fingerprint() == \
+    # The clauses still travel as lists.
+    assert wire["clauses"] == [[1, -2], [3, 4, 5]]
+    assert back.cnf == obligation.cnf
+    # The pre-flat-CNF fingerprints were those of the preprocessing
+    # flag's days, and a payload that still carries the flag parses to
+    # the same obligation.
+    assert reference_fingerprint_v1(back) == \
         "6fbf70adc44df96771f96f3196d701c860dad76f19c1e100f64bf72146a58e46"
+    assert obligation.fingerprint() == \
+        "79991e162c15ec478d1f080eb931a64159e110deebf7fb393f9fd9d2439e4465"
     for flag in (True, False):
         legacy = obligation_from_wire({**wire, "simplify": flag})
         assert legacy.fingerprint() == obligation.fingerprint()
+
+
+def test_wire_literal_beyond_int32_is_malformed():
+    """The flat ``cnf`` holds C ints: a wire literal that does not fit
+    is a malformed payload, not a truncated formula."""
+    wire = obligation_to_wire(_toy_obligations(1)[0])
+    wire["clauses"] = wire["clauses"] + [[2**40]]
+    with pytest.raises(ProtocolError, match="malformed"):
+        obligation_from_wire(wire)
+    wire["clauses"][-1] = ["1"]
+    with pytest.raises(ProtocolError, match="malformed"):
+        obligation_from_wire(wire)
+
+
+def test_empty_clause_stays_unsat_across_the_wire():
+    """An empty clause is a lone 0 of the flat ``cnf``; it survives the
+    wire's clause lists and keeps the formula UNSAT."""
+    obligation = ProofObligation(
+        name="empty", nvars=2, cnf=encode_cnf([[1, 2], [], [-1]]),
+        assumptions=[2])
+    wire = json.loads(json.dumps(obligation_to_wire(obligation)))
+    assert wire["clauses"] == [[1, 2], [], [-1]]
+    back = obligation_from_wire(wire)
+    assert back.cnf == obligation.cnf
+    assert back.fingerprint() == obligation.fingerprint()
+    assert solve_obligation(back).unsat
 
 
 def test_frame_with_unknown_tag_is_rejected():
@@ -348,6 +382,47 @@ def test_early_stop_survives_cancel_send_death(broker):
     # toy0 is SAT: order semantics stop there, even across the death.
     assert results[0] is not None and results[0].sat
     assert all(entry is None for entry in results[1:])
+
+
+class _ResettingConn:
+    """A live connection whose ``recv`` fails the way a broker that
+    resets the link makes it fail."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.resets = 0
+
+    def send(self, message):
+        self.conn.send(message)
+
+    def recv(self):
+        self.resets += 1
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    def close(self):
+        self.conn.close()
+
+
+def test_reset_connection_is_redialled(broker):
+    """A reset while the client waits for verdicts is a lost connection
+    like a closed one: ``_recv`` raises DistError, and the batch
+    completes by redialling and resubmitting."""
+    broker.spawn()
+    obligations = _toy_obligations(3)
+    pool = RemotePool(broker.address, reconnect_delay=0.05)
+    try:
+        with pytest.raises(DistError, match="reset"):
+            pool._recv(_ResettingConn(pool._conn))
+        stub = pool._conn = _ResettingConn(pool._conn)
+        results = pool.solve_ordered(obligations)
+        assert pool._conn is not stub
+    finally:
+        pool.close()
+    assert stub.resets == 1
+    for mine, theirs in zip(map(solve_obligation, obligations), results):
+        assert theirs is not None
+        assert (theirs.status, theirs.model, theirs.fingerprint) == \
+            (mine.status, mine.model, mine.fingerprint)
 
 
 def test_remote_pool_advertises_parallel_jobs(broker):
@@ -1017,7 +1092,7 @@ def _pigeonhole_obligation(pigeons=8):
             for i2 in range(i1 + 1, pigeons):
                 clauses.append([-var(i1, j), -var(i2, j)])
     return ProofObligation(name="php", nvars=pigeons * holes,
-                           clauses=clauses, assumptions=[])
+                           cnf=encode_cnf(clauses), assumptions=[])
 
 
 def test_cancel_push_preempts_running_solve():
@@ -1319,6 +1394,6 @@ def test_timeout_budget_yields_timeout_verdict():
     assert wire.wall_budget == 0.05
     assert wire.fingerprint() == hard.fingerprint()
     unbudgeted = ProofObligation(
-        name=hard.name, nvars=hard.nvars, clauses=hard.clauses,
+        name=hard.name, nvars=hard.nvars, cnf=hard.cnf,
         assumptions=hard.assumptions, frozen=hard.frozen)
     assert unbudgeted.fingerprint() == hard.fingerprint()

@@ -1,5 +1,7 @@
 """Unit tests for the obligation/scheduler/cache engine layers."""
 
+from array import array
+
 import pytest
 
 from repro.engine import (
@@ -7,10 +9,13 @@ from repro.engine import (
     ProofObligation,
     ResultCache,
     SolverPool,
+    decode_cnf,
+    encode_cnf,
     pack_model,
     solve_obligation,
     unpack_model,
 )
+from repro.errors import FormalError
 from repro.formal.bmc import SatContext
 
 
@@ -42,8 +47,7 @@ def _obligation(clauses, assumptions=(), name="t", conflict_limit=None,
         )
         nvars = max([nvars] + [abs(a) for a in assumptions])
     return ProofObligation(
-        name=name, nvars=nvars,
-        clauses=[list(c) for c in clauses],
+        name=name, nvars=nvars, cnf=encode_cnf(clauses),
         assumptions=list(assumptions), frozen=list(frozen),
         conflict_limit=conflict_limit,
     )
@@ -98,11 +102,21 @@ def test_solve_obligation_rejects_out_of_range_input(clauses, assumptions,
                                                       frozen, tmp_path):
     """Every literal and frozen variable is checked against ``nvars``,
     also where it could not change the answer; a worker reports the
-    error to the broker's failure accounting instead of answering."""
-    from repro.dist.protocol import obligation_to_wire
+    error to the broker's failure accounting instead of answering.  A
+    zero literal would read as a clause boundary of the flat ``cnf``, so
+    the codec refuses it before any solve, on the wire as well."""
     from repro.dist.worker import Worker
-    from repro.errors import FormalError
 
+    wire = {"name": "t", "nvars": 1, "clauses": clauses,
+            "assumptions": assumptions, "frozen": frozen}
+    failure = Worker("127.0.0.1:1")._solve(wire, ("batch", 0))
+    assert isinstance(failure, dict)
+    assert failure["exc_type"] == "FormalError"
+    assert "unknown variable" in failure["message"]
+    if any(0 in clause for clause in clauses):
+        with pytest.raises(FormalError, match="unknown variable"):
+            encode_cnf(clauses)
+        return
     ob = _obligation(clauses, assumptions=assumptions, frozen=frozen,
                      nvars=1)
     cache = ResultCache(str(tmp_path))
@@ -110,10 +124,32 @@ def test_solve_obligation_rejects_out_of_range_input(clauses, assumptions,
         with pytest.raises(FormalError, match="unknown variable"):
             solve_obligation(ob, simp_cache=simp_cache)
     assert cache.lookup_simplified(ob.fingerprint()) is None
-    failure = Worker("127.0.0.1:1")._solve(obligation_to_wire(ob),
-                                           ("batch", 0))
-    assert isinstance(failure, dict)
-    assert failure["exc_type"] == "FormalError"
+
+
+def test_unterminated_cnf_is_refused(tmp_path):
+    """A ``cnf`` whose last clause lacks its 0 is malformed: decoding it
+    would drop that clause (here the unit that makes the formula UNSAT),
+    so the solve raises instead, cold and with a warm-start cache."""
+    ob = _obligation([[1], [-1]])
+    ob.cnf.pop()
+    assert ob.cnf == array("i", [1, 0, -1])
+    with pytest.raises(FormalError, match="terminator"):
+        decode_cnf(ob.cnf)
+    cache = ResultCache(str(tmp_path))
+    for simp_cache in (None, cache):
+        with pytest.raises(FormalError, match="terminator"):
+            solve_obligation(ob, simp_cache=simp_cache)
+    # Also when a snapshot is filed under its fingerprint.
+    cache.store_simplified(ob.fingerprint(),
+                           {"nvars": 1, "clauses": [[1]], "stack": []})
+    with pytest.raises(FormalError, match="terminator"):
+        solve_obligation(ob, simp_cache=cache)
+
+
+def test_obligation_size_counts_terminators():
+    ob = _obligation([[1, -2], [], [2]])
+    assert ob.size() == {"nvars": 2, "clauses": 3, "literals": 3}
+    assert solve_obligation(ob).unsat     # the empty clause
 
 
 def test_fingerprint_is_content_addressed():
@@ -277,7 +313,7 @@ def test_slice_fingerprint_ignores_remap_bookkeeping():
 
     plain, grown = export(False), export(True)
     assert plain.fingerprint() == grown.fingerprint()
-    assert plain.clauses == grown.clauses
+    assert plain.cnf == grown.cnf
     assert plain.remap != grown.remap
     assert grown.remap is not None and plain.remap is None
 
@@ -835,7 +871,7 @@ def test_pool_workers_share_warm_cache(tmp_path):
     # Distinct contents per obligation so each gets its own fingerprint.
     for i, ob in enumerate(obs):
         ob.name = f"pw{i}"
-        ob.clauses.append([1, 2 + i])
+        ob.cnf.extend([1, 2 + i, 0])
     with ProofEngine(jobs=2, cache_dir=str(tmp_path)) as engine:
         first = engine.solve_ordered(obs)
     assert [v.status for v in first] == ["unknown"] * len(obs)

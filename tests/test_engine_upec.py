@@ -16,11 +16,12 @@ from repro.core import (
 )
 from repro.core.closure import CondEq
 from repro.core.upec import UpecCheckResult
-from repro.engine import ProofEngine, ScenarioSweep
+from repro.engine import ProofEngine, ProofObligation, ScenarioSweep
 from repro.formal import BmcEngine, prove_by_induction
 from repro.hdl import Circuit
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
+from test_preprocess_differential import reference_fingerprint_v1
 
 VARIANTS = ("secure", "orc", "meltdown", "pmp_bug")
 SOCS = {
@@ -144,7 +145,10 @@ def test_obligation_stream_is_pinned():
     sizes.  A change to the model layer (unrolling, bit-blasting, CNF
     mapping, slicing, witness reads) that keeps every node number,
     variable, clause and model value keeps this digest; one that moves
-    any of them has to say so."""
+    any of them has to say so.  The stream is pinned twice: with each
+    obligation's fingerprint, and with :func:`reference_fingerprint_v1`
+    in its place, which reproduces the pin taken while obligations
+    carried their clauses as lists."""
     exported = []
 
     class RecordingEngine(ProofEngine):
@@ -156,19 +160,57 @@ def test_obligation_stream_is_pinned():
         result = UpecMethodology(SOCS["orc"], SCENARIO, engine=engine) \
             .run(k=2)
     assert result.verdict == "insecure"
-    digest = hashlib.sha256()
-    for obligation in exported:
+
+    def stream_digest(fingerprint):
+        digest = hashlib.sha256()
+        for obligation in exported:
+            digest.update(json.dumps(
+                [obligation.name, fingerprint(obligation), obligation.remap]
+            ).encode())
+        digest.update(json.dumps(result.l_alert.to_dict(),
+                                 sort_keys=True).encode())
         digest.update(json.dumps(
-            [obligation.name, obligation.fingerprint(), obligation.remap]
+            [result.stats[key]
+             for key in ("aig_nodes", "cnf_vars", "cnf_clauses_emitted")]
         ).encode())
-    digest.update(json.dumps(result.l_alert.to_dict(),
-                             sort_keys=True).encode())
-    digest.update(json.dumps(
-        [result.stats[key]
-         for key in ("aig_nodes", "cnf_vars", "cnf_clauses_emitted")]
-    ).encode())
-    assert (len(exported), digest.hexdigest()[:16]) == \
+        return digest.hexdigest()[:16]
+
+    assert (len(exported), stream_digest(reference_fingerprint_v1)) == \
         (3, "dc20a66427be94cc")
+    assert stream_digest(ProofObligation.fingerprint) == "cc3f309017619af8"
+
+
+def test_finished_model_is_freed_by_reference_counting(monkeypatch):
+    """With the cyclic collector off, a cold ``orc`` cell's model is
+    freed as soon as the run drops it: no ``Unroller`` or ``Aig``
+    outlives the run, so neither waits for a full collection.  A frame's
+    leaf reader that reached back to its unroller made every model a
+    reference cycle."""
+    import gc
+    import weakref
+
+    from repro.formal.unroll import Unroller
+
+    refs = []
+    init = Unroller.__init__
+
+    def recording(self, circuit, aig, *args, **kwargs):
+        init(self, circuit, aig, *args, **kwargs)
+        refs.extend((weakref.ref(self), weakref.ref(aig)))
+
+    monkeypatch.setattr(Unroller, "__init__", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        with ProofEngine(jobs=1) as engine:
+            result = UpecMethodology(SOCS["orc"], SCENARIO,
+                                     engine=engine).run(k=2)
+        assert result.verdict == "insecure"
+        # One model: two unrollers over one AIG.
+        assert len(refs) == 4
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_engine_search_counts_are_pinned():

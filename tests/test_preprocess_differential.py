@@ -22,12 +22,13 @@ import itertools
 import json
 import os
 import random
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.engine.obligation import (ProofObligation, pack_model,
-                                     solve_obligation)
+from repro.engine.obligation import (ProofObligation, decode_cnf, encode_cnf,
+                                     pack_model, solve_obligation)
 from repro.errors import FormalError
 from repro.formal.preprocess import (
     ReconstructionEntry,
@@ -275,6 +276,32 @@ class _FirstBatch(Exception):
     pass
 
 
+#: The fingerprint of :func:`first_orc_obligation`, ``6569169f1a034b20``
+#: under :func:`reference_fingerprint_v1`.
+ORC_FRAME1_FINGERPRINT = "690adbc4bc7c74e1"
+
+
+def reference_fingerprint_v1(obligation):
+    """The fingerprint obligations had while they carried a list of
+    clause lists (salt ``upec-obligation-v1``), computed from the
+    decoded ``cnf``: the salt, a ``b"1"`` where a preprocessing flag
+    was once hashed, ``nvars``, each clause's literals as 64-bit
+    integers followed by ``;``, then the assumptions and the sorted
+    frozen set.  It keeps the pins taken before the flat format
+    checkable: the same obligations must still hash to them."""
+    h = hashlib.sha256(b"upec-obligation-v1")
+    h.update(b"1")
+    h.update(array("q", [obligation.nvars]).tobytes())
+    for clause in decode_cnf(obligation.cnf):
+        h.update(array("q", clause).tobytes())
+        h.update(b";")
+    h.update(b"|a|")
+    h.update(array("q", obligation.assumptions).tobytes())
+    h.update(b"|f|")
+    h.update(array("q", sorted(obligation.frozen)).tobytes())
+    return h.hexdigest()
+
+
 def first_orc_obligation():
     """The first obligation ``ProofEngine(jobs=1)`` exports for the
     ``orc`` methodology run (D in cache, k=2): frame 1 under the full
@@ -302,13 +329,15 @@ def pinned_input(case):
     """(nvars, clauses, frozen, Simplifier keyword arguments)."""
     if case == "orc-frame1":
         obligation = first_orc_obligation()
-        assert obligation.fingerprint()[:16] == "6569169f1a034b20"
+        assert reference_fingerprint_v1(obligation)[:16] == \
+            "6569169f1a034b20"
+        assert obligation.fingerprint()[:16] == ORC_FRAME1_FINGERPRINT
         frozen = set(obligation.frozen)
         frozen.update(abs(a) for a in obligation.assumptions)
         # SimplifyingSolver's configuration of the pass.
         kwargs = dict(occ_limit=16, resolvent_limit=24, max_rounds=2,
                       probing=True)
-        return obligation.nvars, obligation.clauses, frozen, kwargs
+        return obligation.nvars, decode_cnf(obligation.cnf), frozen, kwargs
     nvars, clauses = lcg_tseitin(11, inputs=60, gates=400, extra=30)
     kwargs = {"subsume_budget": 2000} if case == "tseitin-budget" else {}
     return nvars, clauses, range(1, 6), kwargs
@@ -841,7 +870,7 @@ def reference_solve_obligation(obligation, store):
         solver.new_var()
     for var in obligation.frozen:
         solver.freeze_var(var)
-    solver.add_clauses(obligation.clauses)
+    solver.add_clauses(decode_cnf(obligation.cnf))
     outcome = solver.solve(assumptions=obligation.assumptions,
                            conflict_limit=obligation.conflict_limit)
     stats = solver.stats.as_dict()
@@ -913,7 +942,7 @@ def random_obligation(rng):
                    rng.sample(range(1, nvars + 1), min(nvars,
                                                        rng.randint(0, 3)))]
     return ProofObligation(
-        name="random", nvars=nvars, clauses=clauses,
+        name="random", nvars=nvars, cnf=encode_cnf(clauses),
         assumptions=assumptions, frozen=frozen,
         conflict_limit=rng.choice([None, None, 1, 2, 5, 50]))
 
@@ -964,7 +993,8 @@ def test_solve_obligation_matches_reference():
 
 def test_solve_obligation_matches_reference_on_orc_frame1():
     obligation = first_orc_obligation()
-    assert obligation.fingerprint()[:16] == "6569169f1a034b20"
+    assert reference_fingerprint_v1(obligation)[:16] == "6569169f1a034b20"
+    assert obligation.fingerprint()[:16] == ORC_FRAME1_FINGERPRINT
     verdict, stored, ref_stored, absent = assert_matches_reference(
         obligation)
     assert verdict.sat and ref_stored and not stored
@@ -994,7 +1024,8 @@ def test_solve_obligation_counts_every_input_clause(monkeypatch):
     leaves the solve open to compare the snapshot."""
     obligation = ProofObligation(
         name="tautologies", nvars=4,
-        clauses=[[1, 2, -1], [2, 3, 2], [-2, 4], [3, -3], [-4, -3, 1]],
+        cnf=encode_cnf([[1, 2, -1], [2, 3, 2], [-2, 4], [3, -3],
+                        [-4, -3, 1]]),
         assumptions=[-1], frozen=[4])
     ref_store, store = SnapshotStore(), SnapshotStore()
     (status, model, stats), _absent = expected_verdict(obligation,

@@ -16,7 +16,8 @@ The slicer and the model completion read the clause log's gate rows.
 clause-list implementations they replaced, kept here as differential
 references: fed the log's expanded clauses, with each gate's clause
 indices and the root clause indices derived from its gate rows, they
-must give the same ``SliceResult`` and the same completed model.
+must give the same ``SliceResult`` (its flat ``cnf`` decoded to the
+reference's clause list) and the same completed model.
 
 ``REPRO_FUZZ_SCALE`` multiplies the iteration counts (CI can turn the
 screws); the ``slow`` marker gates an extra high-volume pass.
@@ -24,12 +25,15 @@ screws); the ``slow`` marker gates an extra high-volume pass.
 
 import os
 import random
+from array import array
+from dataclasses import replace
 from itertools import compress
 
 import pytest
 
 from repro.core import UpecChecker, UpecMethodology, UpecModel, UpecScenario
-from repro.engine import ProofEngine, ResultCache, solve_obligation
+from repro.engine import ProofEngine, ResultCache, decode_cnf, \
+    encode_cnf, solve_obligation
 from repro.engine import slice as slice_module
 from repro.engine.slice import SliceResult, slice_cnf
 from repro.formal.bmc import SatContext
@@ -92,6 +96,36 @@ def random_miter_context(rng):
 
 
 # ----------------------------------------------------------------------
+# The flat CNF codec
+# ----------------------------------------------------------------------
+def test_cnf_codec_round_trip():
+    """``decode_cnf(encode_cnf(c)) == c`` on seeded random clause lists,
+    with empty clauses and literals at ``±nvars``; the encoding is each
+    clause's literals and a 0, back to back.  The flat ``cnf`` the
+    slicer writes is compared with the reference slicer's clause lists
+    through ``decode_cnf``, so the codec is checked on its own first."""
+    assert encode_cnf([[1, -2], [], [3]]) == array("i", [1, -2, 0, 0, 3, 0])
+    assert decode_cnf(array("i")) == []
+    assert decode_cnf(array("i", [0, 0])) == [[], []]
+    rng = random.Random(2519)
+    for _ in range(300 * FUZZ_SCALE):
+        nvars = rng.choice([1, 2, 7, 2**31 - 1])
+        clauses = [
+            [rng.choice([nvars, -nvars, rng.randint(1, nvars),
+                         -rng.randint(1, nvars)])
+             for _ in range(rng.choice([0, 0, 1, 2, 3, 9]))]
+            for _ in range(rng.randint(0, 12))]
+        cnf = encode_cnf(clauses)
+        assert cnf.count(0) == len(clauses)
+        decoded = decode_cnf(cnf)
+        assert decoded == clauses
+        # Fresh lists: editing one leaves the array alone.
+        for clause in decoded:
+            clause.append(1)
+        assert decode_cnf(cnf) == clauses
+
+
+# ----------------------------------------------------------------------
 # Reference: the clause-list slicer and model completion
 # ----------------------------------------------------------------------
 def reference_formula(log):
@@ -126,7 +160,9 @@ def reference_slice_cnf(clauses, nvars, definitions, roots, tags,
                         assumptions, frozen, unit_cutoff=None):
     """The clause-list cone-of-influence slicer: a reached variable pulls
     in the clauses that define it, and the kept clause indices are
-    sorted back into emission order."""
+    sorted back into emission order.  Its ``SliceResult`` holds the kept
+    clauses as a list in ``cnf``: what the slicer's flat ``cnf`` must
+    decode to."""
     reached = bytearray(nvars + 1)
     stack = []
     keep = []
@@ -159,12 +195,13 @@ def reference_slice_cnf(clauses, nvars, definitions, roots, tags,
     if len(ordered) == nvars:
         return SliceResult(
             nvars=nvars,
-            clauses=[clauses[ci] for ci in keep],
+            cnf=[clauses[ci] for ci in keep],
             assumptions=list(assumptions),
             frozen=sorted(frozen),
             remap=None,
             vars_in=nvars,
             clauses_in=len(clauses),
+            clauses_out=len(keep),
         )
     number = [0] * (2 * nvars + 1)
     for new, var in enumerate(ordered, 1):
@@ -173,12 +210,13 @@ def reference_slice_cnf(clauses, nvars, definitions, roots, tags,
     renumber = number.__getitem__
     return SliceResult(
         nvars=len(ordered),
-        clauses=[list(map(renumber, clauses[ci])) for ci in keep],
+        cnf=[list(map(renumber, clauses[ci])) for ci in keep],
         assumptions=list(map(renumber, assumptions)),
         frozen=sorted(number[v] for v in frozen if reached[v]),
         remap=[0] + ordered,
         vars_in=nvars,
         clauses_in=len(clauses),
+        clauses_out=len(keep),
     )
 
 
@@ -215,13 +253,13 @@ def reference_complete_model(log, obligation, values):
 
 def assert_slice_matches_reference(log, assumptions, unit_cutoff=None):
     """The gate-row slice of ``log`` equals the clause-list reference's,
-    field by field; returns it."""
+    field by field, its ``cnf`` decoded; returns it."""
     sliced = slice_cnf(log, assumptions, unit_cutoff)
     clauses, tags, definitions, roots = reference_formula(log)
     reference = reference_slice_cnf(
         clauses, log.nvars, definitions, roots, tags, assumptions,
         log.frozen, unit_cutoff)
-    assert sliced == reference
+    assert replace(sliced, cnf=decode_cnf(sliced.cnf)) == reference
     return sliced
 
 
@@ -470,7 +508,7 @@ def test_fingerprint_invariant_under_context_growth():
     again = model.frame_obligation(regs, 1)
     assert again.fingerprint() == baseline
     assert again.nvars == first.nvars
-    assert again.clauses == first.clauses
+    assert again.cnf == first.cnf
 
 
 def test_fingerprint_identical_across_fresh_contexts():
