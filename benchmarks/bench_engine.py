@@ -18,7 +18,7 @@ import pytest
 
 from repro.formal import Aig, BmcEngine, CdclSolver, SimplifyingSolver
 from repro.hdl import Circuit, mux
-from repro.sim import Simulator
+from repro.sim import CompiledSimulator
 from repro.soc import SocConfig, build_soc
 from repro.soc import isa
 from repro.soc.simulator import SocSim
@@ -230,7 +230,7 @@ def test_soc_simulation_throughput(benchmark):
 
 @pytest.mark.benchmark(group="sim")
 def test_plain_simulator_throughput(benchmark):
-    """Baseline: simulator stepping cost on a small circuit."""
+    """Baseline: compiled-simulator stepping cost on a small circuit."""
     c = Circuit("t")
     a = c.reg("a", 32, init=1)
     b = c.reg("b", 32, init=2)
@@ -239,7 +239,7 @@ def test_plain_simulator_throughput(benchmark):
     c.finalize()
 
     def run():
-        sim = Simulator(c)
+        sim = CompiledSimulator(c)
         for _ in range(2000):
             sim.step()
 

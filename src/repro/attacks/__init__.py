@@ -9,7 +9,6 @@ from repro.attacks.meltdown import (
 from repro.attacks.orc import (
     OrcResult,
     measure_orc_iteration,
-    recover_secret_index_bits,
     run_orc_attack,
 )
 from repro.attacks.timing import TimingSeries
@@ -21,7 +20,6 @@ __all__ = [
     "cache_footprint_difference",
     "measure_orc_iteration",
     "measure_probe",
-    "recover_secret_index_bits",
     "run_meltdown_attack",
     "run_orc_attack",
 ]

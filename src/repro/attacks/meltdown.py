@@ -44,7 +44,7 @@ def measure_probe(soc: Soc, secret: int, probe_addr: int,
     )
     memory = [0] * config.dmem_words
     memory[soc.secret_eff_addr] = secret & 0xFF
-    sim = SocSim(soc, image.words, memory=memory, fast=True)
+    sim = SocSim(soc, image.words, memory=memory)
     sim.run_until_halt(image.halt_pc, max_cycles=8000)
     return (sim.reg(7) - sim.reg(6)) & 0xFF
 
@@ -103,7 +103,7 @@ def cache_footprint_difference(
             config, probe_addr=0, prime_base=DEFAULT_PRIME_BASE))
         memory = [0] * config.dmem_words
         memory[soc.secret_eff_addr] = secret & 0xFF
-        sim = SocSim(soc, image.words, memory=memory, fast=True)
+        sim = SocSim(soc, image.words, memory=memory)
         sim.run_until_halt(image.halt_pc, max_cycles=8000)
         snapshots[name] = sim.cache_snapshot()
     differing = []

@@ -41,7 +41,7 @@ def measure_orc_iteration(soc: Soc, secret: int, guess: int) -> int:
     image = build_image(config, orc_sequence(config, guess))
     memory = [0] * config.dmem_words
     memory[soc.secret_eff_addr] = secret & 0xFF
-    sim = SocSim(soc, image.words, memory=memory, fast=True)
+    sim = SocSim(soc, image.words, memory=memory)
     sim.run_until_halt(image.halt_pc, max_cycles=5000)
     t0 = sim.reg(3)
     t1 = sim.reg(7)
@@ -72,10 +72,3 @@ def run_orc_attack(soc: Soc, secret: int) -> OrcResult:
         true_index=config.line_index(secret),
         excluded_guess=excluded,
     )
-
-
-def recover_secret_index_bits(soc: Soc, secret: int) -> Optional[int]:
-    """Convenience wrapper: the low ``log2(cache_lines)`` bits of the
-    secret, or None if the design leaks nothing."""
-    result = run_orc_attack(soc, secret)
-    return result.recovered_index

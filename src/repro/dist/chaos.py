@@ -421,22 +421,3 @@ class ChaosProxy:
                 return
         dst.sendall(header + payload)
 
-
-def run_proxy(listen: str, upstream: str,
-              plan: Optional[ChaosPlan] = None,
-              stop: Optional[threading.Event] = None) -> Dict[str, Any]:
-    """Run a proxy until interrupted (the ``repro chaos-proxy`` body);
-    returns the final fault stats."""
-    from repro.dist.protocol import parse_address
-
-    proxy = ChaosProxy(parse_address(listen), parse_address(upstream),
-                       plan=plan)
-    proxy.start()
-    try:
-        while not (stop is not None and stop.is_set()):
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        proxy.stop()
-    return proxy.stats()

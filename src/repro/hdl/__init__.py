@@ -36,11 +36,9 @@ from repro.hdl.expr import (
 )
 from repro.hdl.memory import MemoryArray
 from repro.hdl.pretty import format_expr
-from repro.hdl.verilog import VerilogWriter, write_verilog
 
 __all__ = [
     "Circuit",
-    "VerilogWriter",
     "Expr",
     "Input",
     "MemoryArray",
@@ -66,6 +64,5 @@ __all__ = [
     "sext",
     "topo_order",
     "truncate",
-    "write_verilog",
     "zext",
 ]

@@ -46,11 +46,6 @@ def topo_order(roots: Sequence[Expr]) -> List[Expr]:
     return list(iter_nodes(roots))
 
 
-def comb_leaves(roots: Sequence[Expr]) -> List[Expr]:
-    """Registers and inputs feeding the combinational cones of ``roots``."""
-    return [n for n in iter_nodes(roots) if not n.args and n.op != "const"]
-
-
 def reg_fanin(expr: Expr) -> List[Reg]:
     """Registers appearing in the combinational cone of ``expr``."""
     return [n for n in iter_nodes([expr]) if isinstance(n, Reg)]

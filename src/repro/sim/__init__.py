@@ -1,16 +1,10 @@
 """Cycle-accurate simulation of mini-HDL circuits."""
 
 from repro.sim.compile import CompiledSimulator, compile_circuit
-from repro.sim.engine import Simulator
-from repro.sim.trace import Trace, TracingSimulator
-from repro.sim.vcd import VcdWriter, dump_vcd
+from repro.sim.trace import Trace
 
 __all__ = [
     "CompiledSimulator",
-    "Simulator",
     "Trace",
-    "TracingSimulator",
-    "VcdWriter",
     "compile_circuit",
-    "dump_vcd",
 ]

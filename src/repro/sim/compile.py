@@ -1,16 +1,18 @@
-"""Circuit-to-Python compilation for fast simulation.
+"""The cycle simulator: each circuit compiled to one Python function.
 
-The interpreting simulator walks the expression DAG with a dict per node;
-for long-running workloads (the attack demos execute hundreds of programs)
-this module instead emits one Python function per circuit that computes
-the next state and outputs with plain local-variable arithmetic —
-typically an order of magnitude faster, with identical semantics (the
-property tests in ``tests/test_sim_compile.py`` enforce agreement).
+:func:`compile_circuit` emits a function that evaluates the combinational
+DAG in topological order with plain local-variable arithmetic and returns
+the next state and the outputs; :class:`CompiledSimulator` then commits all
+register next-values simultaneously — standard synchronous semantics.
+Values are Python ints masked to their width.  ``tests/test_sim.py`` keeps
+an interpreting reference simulator, and ``tests/test_sim_compile.py``
+checks this module against it and against the unrolled formal model.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import weakref
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hdl.analysis import circuit_roots, topo_order
@@ -144,14 +146,19 @@ def compile_circuit(circuit: Circuit) -> Tuple[StepFunction, List[Reg]]:
 
 
 class CompiledSimulator:
-    """Drop-in fast simulator (registers and outputs only).
+    """Simulate a finalized circuit cycle by cycle.
 
-    For expression probing (``eval``/``peek`` of arbitrary expressions),
-    use the interpreting :class:`repro.sim.Simulator`; this class trades
-    that flexibility for speed.
+    Registers with symbolic init (``init=None``) start from
+    ``init_overrides`` when given, otherwise from 0.  What can be observed
+    is what the compiled function computes: registers by name
+    (:meth:`peek`, :meth:`snapshot`) and the outputs :meth:`step` returns.
     """
 
-    def __init__(self, circuit: Circuit, init_overrides=None) -> None:
+    def __init__(
+        self,
+        circuit: Circuit,
+        init_overrides: Optional[Mapping[str, int]] = None,
+    ) -> None:
         self._step, self._regs = _compiled(circuit)
         self.circuit = circuit
         self.cycle = 0
@@ -170,12 +177,33 @@ class CompiledSimulator:
             )
         self.outputs: Dict[str, int] = {}
 
-    def step(self, inputs: Dict[str, int] = None) -> Dict[str, int]:
-        self.state, self.outputs = self._step(self.state, inputs or {})
+    def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
+        """Advance one clock cycle; returns the outputs sampled this cycle.
+
+        ``inputs`` must name every input of the circuit and nothing else.
+        """
+        if inputs is None:
+            inputs = {}
+        if inputs.keys() != self.circuit.inputs.keys():
+            for name in self.circuit.inputs:
+                if name not in inputs:
+                    raise SimulationError(f"missing value for input {name!r}")
+            extra = sorted(set(inputs) - set(self.circuit.inputs))
+            raise SimulationError(f"unknown input(s): {', '.join(extra)}")
+        self.state, self.outputs = self._step(self.state, inputs)
         self.cycle += 1
         return self.outputs
 
-    def run(self, cycles: int, inputs=None, until=None) -> int:
+    def run(
+        self,
+        cycles: int,
+        inputs: Optional[Mapping[str, int]] = None,
+        until: Optional[Callable[["CompiledSimulator"], bool]] = None,
+    ) -> int:
+        """Run for up to ``cycles`` cycles; stop early when ``until`` holds.
+
+        Returns the number of cycles actually executed.
+        """
         executed = 0
         for _ in range(cycles):
             self.step(inputs)
@@ -185,22 +213,26 @@ class CompiledSimulator:
         return executed
 
     def peek(self, name: str) -> int:
+        """Current value of the register called ``name``."""
         try:
             return self.state[self._index[name]]
         except KeyError:
             raise SimulationError(f"unknown register {name!r}") from None
 
     def snapshot(self) -> Dict[str, int]:
+        """Copy of the full register state, keyed by register name."""
         return {reg.name: v for reg, v in zip(self._regs, self.state)}
 
 
-_CACHE: Dict[int, Tuple[StepFunction, List[Reg]]] = {}
-_CACHE_KEEPALIVE: Dict[int, Circuit] = {}
+#: Each live circuit's compiled step function.  An entry goes with its
+#: circuit: no register or compiled function refers back to the circuit.
+_CACHE: weakref.WeakKeyDictionary[
+    Circuit, Tuple[StepFunction, List[Reg]]
+] = weakref.WeakKeyDictionary()
 
 
 def _compiled(circuit: Circuit) -> Tuple[StepFunction, List[Reg]]:
-    key = id(circuit)
-    if key not in _CACHE or _CACHE_KEEPALIVE.get(key) is not circuit:
-        _CACHE[key] = compile_circuit(circuit)
-        _CACHE_KEEPALIVE[key] = circuit
-    return _CACHE[key]
+    entry = _CACHE.get(circuit)
+    if entry is None:
+        entry = _CACHE[circuit] = compile_circuit(circuit)
+    return entry

@@ -1,10 +1,8 @@
-"""Waveform capture for simulations and counterexample rendering."""
+"""Counterexample rendering: a table of register values per cycle."""
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
-
-from repro.sim.engine import Simulator
 
 
 class Trace:
@@ -16,12 +14,6 @@ class Trace:
 
     def record(self, values: Mapping[str, int]) -> None:
         self.rows.append({name: values[name] for name in self.signals})
-
-    def column(self, signal: str) -> List[int]:
-        return [row[signal] for row in self.rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def render(self, max_cycles: Optional[int] = None, base: str = "hex") -> str:
         """Render as an ASCII table (cycles as columns)."""
@@ -51,24 +43,3 @@ class Trace:
             lines.append(line)
         return "\n".join(lines)
 
-
-class TracingSimulator:
-    """Wrap a :class:`Simulator`, recording chosen registers every cycle."""
-
-    def __init__(self, simulator: Simulator, signals: Sequence[str]) -> None:
-        self.simulator = simulator
-        self.trace = Trace(signals)
-        self._record()
-
-    def _record(self) -> None:
-        values = {name: self.simulator.peek(name) for name in self.trace.signals}
-        self.trace.record(values)
-
-    def step(self, inputs: Optional[Mapping[str, int]] = None) -> Dict[str, int]:
-        outputs = self.simulator.step(inputs)
-        self._record()
-        return outputs
-
-    def run(self, cycles: int, inputs: Optional[Mapping[str, int]] = None) -> None:
-        for _ in range(cycles):
-            self.step(inputs)

@@ -70,15 +70,6 @@ class CacheHandles:
     raw_conflict: Expr = None
     busy_refill: Expr = None
 
-    def meta_regs(self) -> List[Reg]:
-        """Cache bookkeeping state (valid/dirty/tag + controller)."""
-        return (
-            self.valid + self.dirty + self.tags
-            + [self.wpend_v, self.wpend_idx, self.wpend_ctr,
-               self.refilling, self.rf_ctr, self.rf_addr,
-               self.rf_we, self.rf_wdata]
-        )
-
 
 def build_cache(
     c: Circuit,

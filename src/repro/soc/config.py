@@ -90,10 +90,6 @@ class SocConfig:
         return max(1, self.dmem_index_bits - self.index_bits)
 
     @property
-    def pc_bits(self) -> int:
-        return self.xlen
-
-    @property
     def imem_index_bits(self) -> int:
         return (self.imem_words - 1).bit_length()
 

@@ -1,8 +1,9 @@
 """Simulation wrapper for the SoC: program loading, running, observation.
 
-:class:`SocSim` drives the RTL through :class:`repro.sim.Simulator`,
-providing program/memory loading, architectural state extraction (for
-lock-step comparison against the ISS) and cache-coherent memory reads.
+:class:`SocSim` drives the RTL through :class:`repro.sim.CompiledSimulator`
+(``self.sim``, which observes registers by name), providing program/memory
+loading, architectural state extraction (for lock-step comparison against
+the ISS) and cache-coherent memory reads.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import CompiledSimulator
 from repro.soc import isa
-from repro.soc.soc import Soc, build_soc
-from repro.soc.config import SocConfig
+from repro.soc.soc import Soc
 
 
 class SocSim:
@@ -25,7 +25,6 @@ class SocSim:
         program: Sequence[int],
         memory: Optional[Sequence[int]] = None,
         init_overrides: Optional[Dict[str, int]] = None,
-        fast: bool = False,
     ) -> None:
         self.soc = soc
         config = soc.config
@@ -39,23 +38,7 @@ class SocSim:
         for i, value in enumerate(memory or []):
             overrides[f"dmem[{i}]"] = value
         overrides.update(init_overrides or {})
-        if fast:
-            from repro.sim.compile import CompiledSimulator
-
-            self.sim = CompiledSimulator(soc.circuit,
-                                         init_overrides=overrides)
-        else:
-            self.sim = Simulator(soc.circuit, init_overrides=overrides)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: SocConfig,
-        program: Sequence[int],
-        memory: Optional[Sequence[int]] = None,
-        init_overrides: Optional[Dict[str, int]] = None,
-    ) -> "SocSim":
-        return cls(build_soc(config), program, memory, init_overrides)
+        self.sim = CompiledSimulator(soc.circuit, init_overrides=overrides)
 
     # ------------------------------------------------------------------
     # Running
@@ -67,20 +50,6 @@ class SocSim:
     def step(self, cycles: int = 1) -> None:
         for _ in range(cycles):
             self.sim.step()
-
-    def run_until_pc(self, target_pc: int, max_cycles: int = 10_000) -> int:
-        """Run until the fetch PC reaches ``target_pc``.
-
-        Returns cycles executed; raises if the bound is exhausted.
-        """
-        executed = self.sim.run(
-            max_cycles, until=lambda s: s.peek("pc") == target_pc
-        )
-        if self.sim.peek("pc") != target_pc:
-            raise SimulationError(
-                f"pc did not reach {target_pc} within {max_cycles} cycles"
-            )
-        return executed
 
     def run_until_halt(self, halt_pc: int, max_cycles: int = 10_000) -> int:
         """Run until the pipeline spins at a ``jal x0, 0`` halt loop and all

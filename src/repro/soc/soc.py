@@ -115,9 +115,6 @@ class Soc:
     def arch_regs(self) -> List[Reg]:
         return self.circuit.arch_regs()
 
-    def memory_regs(self) -> List[Reg]:
-        return self.circuit.regs_with_tag("memory")
-
     def cache_data_regs(self) -> List[Reg]:
         return self.circuit.regs_with_tag("cache_data")
 
@@ -175,10 +172,6 @@ class Soc:
         return self.cache.valid[idx] & self.cache.tags[idx].eq(
             const(self.secret_line_tag, self.config.tag_bits)
         )
-
-
-def _bubble(c: Circuit, valid_reg: Reg) -> Expr:
-    return const(0, 1)
 
 
 def build_soc(config: SocConfig) -> Soc:

@@ -1,4 +1,4 @@
-"""Property tests: bit-blasted semantics must match the simulator."""
+"""Property tests: bit-blasted semantics must match the reference simulator."""
 
 import os
 import random
@@ -22,7 +22,7 @@ from repro.formal.bitblast import (
 from repro.hdl import Circuit, cat, const, mux, select, sext, zext
 from repro.hdl.analysis import topo_order
 from repro.hdl.expr import Input, Reg
-from repro.sim import Simulator
+from test_sim import ReferenceSimulator
 
 #: ``REPRO_FUZZ_SCALE`` multiplies the differential test's example count
 #: (CI's nightly differential leg turns it up).
@@ -60,7 +60,7 @@ def check_expr_matches_sim(build, names_widths, input_values):
     expr = build(inputs)
     c.output("o", expr)
     c.finalize()
-    sim_value = Simulator(c).step(input_values)["o"]
+    sim_value = ReferenceSimulator(c).step(input_values)["o"]
     aig, input_bits, out_bits = blast_inputs(c, expr)
     blast_value = eval_blasted(aig, input_bits, out_bits, input_values)
     assert blast_value == sim_value, f"sim={sim_value} blast={blast_value}"

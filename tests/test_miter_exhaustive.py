@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.formal import Aig, SatContext, Unroller
 from repro.hdl import Circuit, cat, mux
-from repro.sim import Simulator
+from test_sim import ReferenceSimulator
 
 
 def build_random_circuit(spec):
@@ -72,9 +72,9 @@ def miter_diff_exists_brute(circuit, secret_name, watch_name, k):
     """Ground truth: enumerate every shared state and secret pair."""
     for a0, b0 in itertools.product(range(4), repeat=2):
         for s1, s2 in itertools.combinations(range(4), 2):
-            sim1 = Simulator(circuit, init_overrides={
+            sim1 = ReferenceSimulator(circuit, init_overrides={
                 "secret": s1, "a": a0, "b": b0})
-            sim2 = Simulator(circuit, init_overrides={
+            sim2 = ReferenceSimulator(circuit, init_overrides={
                 "secret": s2, "a": a0, "b": b0})
             for _ in range(k):
                 sim1.step()

@@ -1,4 +1,4 @@
-"""Compiled simulator must agree exactly with the interpreter.
+"""The compiled simulator must agree exactly with the reference interpreter.
 
 The random-circuit differential at the bottom adds a third voter: every
 circuit is also unrolled one frame into the formal engine (AIG bit-blast
@@ -7,18 +7,23 @@ must match both simulators bit for bit — CAT/SLICE and shift edge widths
 included.
 """
 
+import gc
+import os
 import random
+import weakref
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.formal import SatContext, Unroller
 from repro.hdl import Circuit, MemoryArray, cat, const, mux, select, sext, zext
 from repro.hdl.expr import mask
-from repro.sim import Simulator
-from repro.sim.compile import CompiledSimulator, compile_circuit
+from repro.sim import CompiledSimulator, compile_circuit
+from test_sim import ReferenceSimulator
+
+#: ``REPRO_FUZZ_SCALE`` multiplies the differential tests' example and
+#: circuit counts (CI's nightly differential leg turns it up).
+FUZZ_SCALE = max(1, int(os.environ.get("REPRO_FUZZ_SCALE", "1")))
 
 
 def build_mixed_circuit():
@@ -36,11 +41,11 @@ def build_mixed_circuit():
     return c.finalize()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30 * FUZZ_SCALE, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=20))
 def test_compiled_matches_interpreter(xs):
     circuit = build_mixed_circuit()
-    interp = Simulator(circuit)
+    interp = ReferenceSimulator(circuit)
     fast = CompiledSimulator(circuit)
     for x in xs:
         out_i = interp.step({"x": x})
@@ -59,7 +64,7 @@ def test_compiled_soc_matches_interpreter():
         isa.add(4, 3, 1), isa.bne(4, 0, 2), isa.li(5, 9), isa.jal(0, 0),
     ]]
     overrides = {f"imem[{i}]": w for i, w in enumerate(program)}
-    interp = Simulator(soc.circuit, init_overrides=dict(overrides))
+    interp = ReferenceSimulator(soc.circuit, init_overrides=dict(overrides))
     fast = CompiledSimulator(soc.circuit, init_overrides=dict(overrides))
     for _ in range(80):
         out_i = interp.step()
@@ -68,31 +73,25 @@ def test_compiled_soc_matches_interpreter():
     assert interp.snapshot() == fast.snapshot()
 
 
-def test_compiled_init_overrides_and_peek():
-    circuit = build_mixed_circuit()
-    fast = CompiledSimulator(circuit, init_overrides={"a": 9})
-    assert fast.peek("a") == 9
-    with pytest.raises(SimulationError):
-        fast.peek("zz")
-    with pytest.raises(SimulationError):
-        CompiledSimulator(circuit, init_overrides={"zz": 0})
-
-
-def test_compiled_run_until():
-    c = Circuit("cnt")
-    r = c.reg("r", 8, init=0)
-    c.next(r, r + 1)
-    c.finalize()
-    fast = CompiledSimulator(c)
-    executed = fast.run(100, until=lambda s: s.peek("r") == 7)
-    assert executed == 7
-
-
 def test_compile_cache_reuses_function():
     circuit = build_mixed_circuit()
     s1 = CompiledSimulator(circuit)
     s2 = CompiledSimulator(circuit)
     assert s1._step is s2._step
+
+
+def test_compile_cache_frees_a_dropped_circuit():
+    """The cache holds its circuits weakly: a simulated circuit that
+    nothing else refers to is freed, compiled function and all."""
+    circuit = build_mixed_circuit()
+    sim = CompiledSimulator(circuit)
+    sim.step({"x": 1})
+    dropped = weakref.ref(circuit)
+    step = weakref.ref(sim._step)
+    del circuit, sim
+    gc.collect()
+    assert dropped() is None
+    assert step() is None
 
 
 def test_compile_function_direct():
@@ -225,12 +224,12 @@ def _formal_eval_one_frame(circuit, regs, inputs, input_values):
 
 def test_random_circuits_sim_compile_formal_agree():
     rng = random.Random(1234)
-    for idx in range(30):
+    for idx in range(30 * FUZZ_SCALE):
         circuit, regs, inputs = _build_random_circuit(rng, idx)
         input_values = {
             node.name: rng.randrange(1 << node.width) for node in inputs
         }
-        interp = Simulator(circuit)
+        interp = ReferenceSimulator(circuit)
         fast = CompiledSimulator(circuit)
         out_i = interp.step(dict(input_values))
         out_c = fast.step(dict(input_values))
@@ -270,7 +269,7 @@ def test_cat_slice_shift_edge_widths_three_way():
     regs = [c.regs["a"], c.regs["b"]]
     inputs = [c.inputs["x"]]
     for xv in (0, 1, 0x55, 0x7F):
-        interp = Simulator(c)
+        interp = ReferenceSimulator(c)
         fast = CompiledSimulator(c)
         out_i = interp.step({"x": xv})
         out_c = fast.step({"x": xv})

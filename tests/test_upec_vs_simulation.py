@@ -11,9 +11,10 @@ instances and cannot affect the diffing registers by construction.)
 import pytest
 
 from repro.core import UpecChecker, UpecModel, UpecScenario
-from repro.sim import Simulator
+from repro.sim import CompiledSimulator
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
+from test_sim import ReferenceSimulator
 
 SOC_ORC = build_soc(SocConfig.orc(**FORMAL_CONFIG_KWARGS))
 SOC_MELTDOWN = build_soc(SocConfig.meltdown(**FORMAL_CONFIG_KWARGS))
@@ -21,11 +22,12 @@ SOC_SECURE = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
 
 
 def replay(soc, alert):
-    """Two simulator instances initialized from the witness's frame 0."""
+    """Two instances of the package's simulator initialized from the
+    witness's frame 0."""
     init1 = {name: pair[0] for name, pair in alert.witness[0].items()}
     init2 = {name: pair[1] for name, pair in alert.witness[0].items()}
-    sim1 = Simulator(soc.circuit, init_overrides=init1)
-    sim2 = Simulator(soc.circuit, init_overrides=init2)
+    sim1 = CompiledSimulator(soc.circuit, init_overrides=init1)
+    sim2 = CompiledSimulator(soc.circuit, init_overrides=init2)
     for _ in range(alert.frame):
         sim1.step()
         sim2.step()
@@ -58,14 +60,15 @@ def test_witness_initial_states_agree_outside_seed():
 
 
 def test_witness_satisfies_scenario_assumptions():
-    """The witnessed initial state respects the Fig.-4 constraints."""
+    """The witnessed initial state respects the Fig.-4 constraints
+    (evaluated by the reference interpreter, which probes expressions)."""
     soc = SOC_ORC
     model = UpecModel(soc, UpecScenario(secret_in_cache=True))
     result = UpecChecker(model).check(k=1)
     alert = result.alert
     for instance in (0, 1):
         init = {n: pair[instance] for n, pair in alert.witness[0].items()}
-        sim = Simulator(soc.circuit, init_overrides=init)
+        sim = ReferenceSimulator(soc.circuit, init_overrides=init)
         assert sim.eval(soc.secret_data_protected()) == 1
         assert sim.eval(soc.no_ongoing_protected_access()) == 1
         assert sim.eval(soc.cache_monitor_ok()) == 1
