@@ -2,7 +2,8 @@
 
 Commands
 --------
-``info``         print design-variant statistics
+``info``         print design-variant statistics (``--geometry formal``,
+                 the default, or ``sim``: the SoC the attacks run)
 ``check``        run one UPEC property check
 ``methodology``  run the full Fig.-5 iterative flow
 ``sweep``        run a Tab.-I grid of methodology cells across workers
@@ -99,12 +100,8 @@ def _build(variant: str, geometry: str):
     return build_soc(getattr(SocConfig, variant)(**kwargs))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_variant(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("variant", choices=VARIANTS)
-    parser.add_argument(
-        "--geometry", choices=("formal", "sim"), default="formal",
-        help="SoC geometry (default: formal — the small UPEC geometry)",
-    )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -555,15 +552,11 @@ def cmd_chaos_proxy(args) -> int:
     from repro.dist.chaos import ChaosPlan, ChaosProxy
     from repro.dist.protocol import parse_address
 
-    plan = ChaosPlan.from_env(seed=args.seed)
-    for name, value in (("reset", args.reset), ("stall", args.stall),
-                        ("truncate", args.truncate),
-                        ("duplicate", args.duplicate),
-                        ("bitflip", args.bitflip)):
-        if value is not None:
-            setattr(plan, f"{name}_rate", value)
-    if args.stall_max is not None:
-        plan.stall_max_s = args.stall_max
+    plan = ChaosPlan(
+        seed=args.seed, reset_rate=args.reset, stall_rate=args.stall,
+        truncate_rate=args.truncate, duplicate_rate=args.duplicate,
+        bitflip_rate=args.bitflip, stall_max_s=args.stall_max,
+    )
     proxy = ChaosProxy(parse_address(args.listen),
                        parse_address(args.upstream), plan=plan)
     try:
@@ -616,11 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="design-variant statistics")
-    _add_common(p_info)
+    _add_variant(p_info)
+    p_info.add_argument(
+        "--geometry", choices=("formal", "sim"), default="formal",
+        help="SoC geometry (default: formal — the small UPEC geometry)",
+    )
     p_info.set_defaults(func=cmd_info)
 
     p_check = sub.add_parser("check", help="one UPEC property check")
-    _add_common(p_check)
+    _add_variant(p_check)
     p_check.add_argument("--k", type=int, default=2)
     p_check.add_argument("--uncached", action="store_true",
                          help="scenario: D not in cache")
@@ -628,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_meth = sub.add_parser("methodology", help="full Fig.-5 flow")
-    _add_common(p_meth)
+    _add_variant(p_meth)
     p_meth.add_argument("--k", type=int, default=2)
     p_meth.add_argument("--uncached", action="store_true")
     _add_solver_flags(p_meth)
@@ -650,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_att = sub.add_parser("attack", help="simulator-level attack")
     p_att.add_argument("kind", choices=("orc", "meltdown"))
-    _add_common(p_att)
+    _add_variant(p_att)
     p_att.add_argument("--secret", type=_secret_byte, default="0x6B",
                        help="secret byte, 0..255 (default: 0x6B)")
     _add_output_flags(p_att)
@@ -739,29 +736,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "clients at --listen instead of the broker and the "
                     "proxy injects a reproducible, seed-determined "
                     "schedule of resets, stalls, truncated/duplicated "
-                    "frames and payload bit-flips.  Rates default to "
-                    "the REPRO_CHAOS_* environment knobs; flags win.",
+                    "frames and payload bit-flips.  Every rate defaults "
+                    "to 0 (that fault is off).",
     )
     p_chaos.add_argument("--listen", required=True, metavar="HOST:PORT",
                          help="address to accept client/worker dials on")
     p_chaos.add_argument("--upstream", required=True, metavar="HOST:PORT",
                          help="the real broker address")
-    p_chaos.add_argument("--seed", type=int, default=None,
-                         help="fault-schedule seed "
-                              "(default: $REPRO_CHAOS_SEED or 0)")
-    p_chaos.add_argument("--reset", type=float, default=None,
+    p_chaos.add_argument("--seed", type=int, default=0,
+                         help="fault-schedule seed (default: 0)")
+    p_chaos.add_argument("--reset", type=float, default=0.0,
                          metavar="P", help="per-frame reset probability")
-    p_chaos.add_argument("--stall", type=float, default=None,
+    p_chaos.add_argument("--stall", type=float, default=0.0,
                          metavar="P", help="per-frame stall probability")
-    p_chaos.add_argument("--stall-max", type=float, default=None,
-                         metavar="S", help="longest injected stall")
-    p_chaos.add_argument("--truncate", type=float, default=None,
+    p_chaos.add_argument("--stall-max", type=float, default=0.2,
+                         metavar="S",
+                         help="longest injected stall (default: 0.2)")
+    p_chaos.add_argument("--truncate", type=float, default=0.0,
                          metavar="P",
                          help="per-frame truncation probability")
-    p_chaos.add_argument("--duplicate", type=float, default=None,
+    p_chaos.add_argument("--duplicate", type=float, default=0.0,
                          metavar="P",
                          help="per-frame duplication probability")
-    p_chaos.add_argument("--bitflip", type=float, default=None,
+    p_chaos.add_argument("--bitflip", type=float, default=0.0,
                          metavar="P",
                          help="per-frame payload bit-flip probability")
     p_chaos.set_defaults(func=cmd_chaos_proxy)

@@ -49,7 +49,7 @@ class CondEq:
 
 @dataclass
 class ClosureObligation:
-    """One proof obligation of the induction step."""
+    """One check of the induction step."""
 
     name: str
     holds: bool
@@ -97,7 +97,9 @@ class ClosureResult:
 
 
 class InductiveDiffProof:
-    """Check that a conditional-equality invariant is 1-step inductive."""
+    """Check that a conditional-equality invariant is 1-step inductive,
+    on ``engine`` (a :class:`repro.engine.ProofEngine`; a private
+    ``ProofEngine(jobs=1)`` when none is given)."""
 
     def __init__(
         self,
@@ -106,9 +108,11 @@ class InductiveDiffProof:
         invariant: Sequence[CondEq],
         engine=None,
     ) -> None:
+        from repro.engine.pool import ProofEngine
+
         self.soc = soc
         self.scenario = scenario
-        self.engine = engine
+        self.engine = engine if engine is not None else ProofEngine(jobs=1)
         self.invariant = list(invariant)
         domain = {entry.reg for entry in self.invariant}
         for entry in self.invariant:
@@ -130,46 +134,19 @@ class InductiveDiffProof:
         allowed.add(self.soc.secret_cache_data_reg.name)
         return all(reg.name in allowed for reg, _, _ in alert.diffs)
 
-    def check_step(
-        self, conflict_limit: Optional[int] = None
-    ) -> ClosureResult:
-        """Prove the induction step by SAT (one obligation per register).
-
-        The per-register obligations are mutually independent; with an
-        engine they are exported as proof obligations and solved on the
-        worker pool (and served from the proof cache on re-runs).
-        """
-        start = time.perf_counter()
-        engine_since = self.engine.stats() if self.engine is not None \
-            else None
+    def step_checks(self) -> Tuple[UpecModel, List[Tuple[str, int]]]:
+        """The induction step's model, assumed over a one-cycle window,
+        and its checks: one per register, and one per side condition and
+        instance, each as its name and the AIG literal that is true when
+        the check fails (FALSE when structural hashing refutes that)."""
         soc = self.soc
         cond_eq: Dict[Reg, Optional[Expr]] = {
             entry.reg: entry.cond for entry in self.invariant
         }
         model = UpecModel(soc, self.scenario, cond_eq=cond_eq)
         model.assume_window(1)
-        context = model.context
-        aig = context.aig
-        engine = self.engine
-        #: (name, target literal, exported obligation or None) per check,
-        #: in legacy solve order.
-        tasks: List[Tuple[str, int, Optional[object]]] = []
-
-        def add_task(name: str, target: int) -> None:
-            exported = None
-            if engine is not None and target != 0:
-                exported = context.export_obligation(
-                    name=f"closure[{soc.config.name}] {name}",
-                    assumptions=[target], conflict_limit=conflict_limit,
-                    meta={
-                        "kind": "closure-step",
-                        "design": soc.config.name,
-                        "scenario": self.scenario.describe(),
-                        "obligation": name,
-                        "invariant": [e.reg.name for e in self.invariant],
-                    },
-                )
-            tasks.append((name, target, exported))
+        aig = model.context.aig
+        checks: List[Tuple[str, int]] = []
 
         secret_regs = {soc.secret_mem_reg}
         if self.scenario.secret_in_cache:
@@ -189,10 +166,10 @@ class InductiveDiffProof:
                 cond_both = aig.and_(
                     model.u1.expr_lit(cond, 1), model.u2.expr_lit(cond, 1)
                 )
-                add_task(f"{reg.name} differs outside its blocking "
-                         f"condition", aig.and_(diff1, cond_both ^ 1))
+                checks.append((f"{reg.name} differs outside its blocking "
+                               f"condition", aig.and_(diff1, cond_both ^ 1)))
             else:
-                add_task(f"{reg.name} must stay equal", diff1)
+                checks.append((f"{reg.name} must stay equal", diff1))
 
         # Assumption re-establishment: the invariant's side conditions
         # (protection configuration, no ongoing protected refill) must
@@ -206,73 +183,61 @@ class InductiveDiffProof:
         ):
             for unroller, tag in ((model.u1, "i1"), (model.u2, "i2")):
                 violated = unroller.expr_lit(expr, 1) ^ 1
-                add_task(f"{name} re-established at t+1 ({tag})", violated)
+                checks.append((f"{name} re-established at t+1 ({tag})",
+                               violated))
+        return model, checks
 
-        obligations = (
-            self._solve_tasks_engine(model, tasks)
-            if engine is not None
-            else self._solve_tasks_inline(model, tasks, conflict_limit)
-        )
-        holds = all(ob.holds for ob in obligations)
+    def check_step(
+        self, conflict_limit: Optional[int] = None
+    ) -> ClosureResult:
+        """Prove the induction step by SAT.
+
+        The :meth:`step_checks` are the targets of one saturating
+        obligation ("which checks can fail?"), solved on the engine and
+        served from its proof cache on re-runs.  A check whose literal
+        folds to FALSE holds without being a target.  A failed check's
+        counterexample comes from the query that found it; a check the
+        loop did not reach (a conflict limit stopped it) fails without
+        one.
+        """
+        start = time.perf_counter()
+        engine = self.engine
+        engine_since = engine.stats()
+        model, checks = self.step_checks()
+        live = [i for i, (_, target) in enumerate(checks) if target != 0]
+        #: check index -> counterexample of the query that found it
+        cexes: Dict[int, List[Tuple[Reg, int, int]]] = {}
+        settled = True
+        if live:
+            exported = model.context.export_obligation(
+                name=f"closure[{self.soc.config.name}]",
+                targets=[checks[i][1] for i in live],
+                conflict_limit=conflict_limit,
+                meta={
+                    "kind": "closure-step",
+                    "design": self.soc.config.name,
+                    "scenario": self.scenario.describe(),
+                    "checks": [checks[i][0] for i in live],
+                    "invariant": [e.reg.name for e in self.invariant],
+                },
+            )
+            verdict = engine.solve_ordered([exported])[0]
+            settled = verdict.sat or verdict.unsat
+            for query, indices in enumerate(verdict.found or ()):
+                model.context.adopt_verdict(exported, verdict, query)
+                cex = model.differing_regs(1)
+                for index in indices:
+                    cexes[live[index]] = cex
+        obligations = [
+            ClosureObligation(
+                name=name, holds=i not in cexes and (settled or target == 0),
+                counterexample=cexes.get(i))
+            for i, (name, target) in enumerate(checks)
+        ]
         stats = dict(model.stats())
-        if engine is not None:
-            stats.update(engine.stats(since=engine_since))
+        stats.update(engine.stats(since=engine_since))
         return ClosureResult(
-            holds=holds, obligations=obligations,
+            holds=all(ob.holds for ob in obligations),
+            obligations=obligations,
             runtime_s=time.perf_counter() - start, stats=stats,
         )
-
-    def _solve_tasks_inline(
-        self,
-        model: UpecModel,
-        tasks: Sequence[Tuple[str, int, Optional[object]]],
-        conflict_limit: Optional[int],
-    ) -> List[ClosureObligation]:
-        """Sequential solving on the model's incremental solver."""
-        context = model.context
-        obligations: List[ClosureObligation] = []
-        for name, target, _ in tasks:
-            if target == 0:
-                # Structurally impossible difference — no SAT call needed.
-                obligations.append(ClosureObligation(name=name, holds=True))
-                continue
-            outcome = context.solve(
-                assumptions=[target], conflict_limit=conflict_limit
-            )
-            if outcome is None:
-                obligations.append(ClosureObligation(
-                    name=name, holds=False, counterexample=None))
-            elif outcome:
-                cex = model.differing_regs(1)
-                obligations.append(ClosureObligation(
-                    name=name, holds=False, counterexample=cex))
-            else:
-                obligations.append(ClosureObligation(name=name, holds=True))
-        return obligations
-
-    def _solve_tasks_engine(
-        self,
-        model: UpecModel,
-        tasks: Sequence[Tuple[str, int, Optional[object]]],
-    ) -> List[ClosureObligation]:
-        """Batch the per-register obligations onto the engine's pool."""
-        pending = [exported for _, target, exported in tasks
-                   if target != 0]
-        verdicts = iter(self.engine.solve_ordered(pending))
-        obligations: List[ClosureObligation] = []
-        for name, target, exported in tasks:
-            if target == 0:
-                obligations.append(ClosureObligation(name=name, holds=True))
-                continue
-            verdict = next(verdicts)
-            if verdict.unsat:
-                obligations.append(ClosureObligation(name=name, holds=True))
-            elif verdict.sat:
-                model.context.adopt_verdict(exported, verdict)
-                cex = model.differing_regs(1)
-                obligations.append(ClosureObligation(
-                    name=name, holds=False, counterexample=cex))
-            else:
-                obligations.append(ClosureObligation(
-                    name=name, holds=False, counterexample=None))
-        return obligations

@@ -32,18 +32,10 @@ broker requeue, client resubmission), a methodology run through an
 aggressive proxy must still produce verdicts bit-identical to a
 sequential run — the acceptance bar of ``tests/test_chaos.py``.
 
-Environment knobs (read by :meth:`ChaosPlan.from_env`, all optional)::
-
-    REPRO_CHAOS_SEED        master seed (int; default 0)
-    REPRO_CHAOS_RESET       per-frame connection-reset probability
-    REPRO_CHAOS_STALL       per-frame stall probability
-    REPRO_CHAOS_STALL_S     max stall duration in seconds (default 0.2)
-    REPRO_CHAOS_TRUNCATE    per-frame truncation probability
-    REPRO_CHAOS_DUPLICATE   per-frame duplication probability
-    REPRO_CHAOS_BITFLIP     per-frame payload bit-flip probability
-
 ``repro chaos-proxy --listen H:P --upstream H:P --seed N`` runs a proxy
-standalone, so any existing test or CI leg can point ``--connect`` (or
+standalone (its ``--reset``, ``--stall``, ``--stall-max``,
+``--truncate``, ``--duplicate`` and ``--bitflip`` flags set the plan's
+rates), so any existing test or CI leg can point ``--connect`` (or
 ``REPRO_ENGINE_CONNECT``) at the proxy instead of the broker and run
 under chaos without code changes.
 """
@@ -51,7 +43,6 @@ under chaos without code changes.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import socket
 import struct
@@ -64,23 +55,9 @@ from repro.dist.protocol import _HEADER, MAX_FRAME_BYTES
 
 __all__ = ["ChaosPlan", "ChaosProxy"]
 
-#: Environment-knob prefix; see the module docstring for the full list.
-CHAOS_ENV_PREFIX = "REPRO_CHAOS_"
-
 #: Fault kinds in the order the per-frame dice are rolled (stable order
 #: is part of the reproducibility contract — do not reorder).
 _FAULTS = ("reset", "stall", "truncate", "duplicate", "bitflip")
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(CHAOS_ENV_PREFIX + name)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return max(0.0, value)
 
 
 @dataclass
@@ -108,25 +85,6 @@ class ChaosPlan:
     #: the handshake must survive or a peer can never register at all
     #: and the soak tests nothing but the dial path.
     grace_frames: int = 2
-
-    @classmethod
-    def from_env(cls, seed: Optional[int] = None) -> "ChaosPlan":
-        """A plan from the ``REPRO_CHAOS_*`` environment knobs."""
-        if seed is None:
-            raw = os.environ.get(CHAOS_ENV_PREFIX + "SEED", "0")
-            try:
-                seed = int(raw)
-            except ValueError:
-                seed = 0
-        return cls(
-            seed=seed,
-            reset_rate=_env_float("RESET", 0.0),
-            stall_rate=_env_float("STALL", 0.0),
-            truncate_rate=_env_float("TRUNCATE", 0.0),
-            duplicate_rate=_env_float("DUPLICATE", 0.0),
-            bitflip_rate=_env_float("BITFLIP", 0.0),
-            stall_max_s=_env_float("STALL_S", 0.2),
-        )
 
     # ------------------------------------------------------------------
     def _rng(self, *key: Any) -> random.Random:
@@ -229,7 +187,7 @@ class ChaosProxy:
                  plan: Optional[ChaosPlan] = None) -> None:
         self.listen_host, self.listen_port = listen
         self.upstream = upstream
-        self.plan = plan if plan is not None else ChaosPlan.from_env()
+        self.plan = plan if plan is not None else ChaosPlan()
         self.connections = 0
         self.frames = 0
         self.faults: Dict[str, int] = {kind: 0 for kind in _FAULTS}

@@ -46,8 +46,11 @@ from repro.errors import DistError
 #: v3: the frame header grew a CRC32 of the tag + payload; a v2 peer
 #: misparses the header before its handshake version check can fire,
 #: which still surfaces as a loud :class:`ProtocolError` rather than
-#: silent corruption.
-PROTO_VERSION = 3
+#: silent corruption.  v4: obligations carry saturation ``targets`` and
+#: verdicts the targets found; a v3 peer would drop the targets and
+#: answer a different question.  A single query's payload is unchanged,
+#: so journals written under v3 still load.
+PROTO_VERSION = 4
 
 _HEADER = struct.Struct(">IBI")
 _TAG_JSON = ord("J")
@@ -246,6 +249,7 @@ def obligation_to_wire(obligation: ProofObligation) -> Dict[str, Any]:
         "clauses": decode_cnf(obligation.cnf),
         "assumptions": list(obligation.assumptions),
         "frozen": list(obligation.frozen),
+        "targets": list(obligation.targets),
         "conflict_limit": obligation.conflict_limit,
         "wall_budget": obligation.wall_budget,
         "meta": dict(obligation.meta),
@@ -271,6 +275,7 @@ def obligation_from_wire(data: Dict[str, Any]) -> ProofObligation:
             cnf=encode_cnf(data["clauses"]),
             assumptions=list(map(int, data["assumptions"])),
             frozen=list(map(int, data.get("frozen", ()))),
+            targets=list(map(int, data.get("targets", ()))),
             conflict_limit=data.get("conflict_limit"),
             wall_budget=data.get("wall_budget"),
             meta=dict(data.get("meta", {})),

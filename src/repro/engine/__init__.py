@@ -5,7 +5,8 @@ layers:
 
 * **obligation** (:mod:`repro.engine.obligation`) — serializable
   :class:`ProofObligation` values (self-contained CNF slice +
-  assumptions + metadata) with :class:`Verdict` results; exported by
+  assumptions + optional saturation targets + metadata) with
+  :class:`Verdict` results; exported by
   :meth:`repro.formal.bmc.SatContext.export_obligation` and
   :meth:`repro.core.model.UpecModel.frame_obligation` instead of being
   solved inline.  Every export is cut to the query's cone of influence
@@ -26,8 +27,9 @@ layers:
 :class:`ProofEngine` ties the three together and is what the formal
 stack (``UpecChecker``, ``UpecMethodology``, ``InductiveDiffProof``,
 ``BmcEngine``, ``prove_by_induction``) accepts as its ``engine``
-parameter; without one, those call sites solve on their incremental
-in-context solver.
+parameter.  Without one, ``UpecChecker`` and ``UpecMethodology`` solve
+on their incremental in-context solver, and the other three on a
+private ``ProofEngine(jobs=1)``.
 
 The scheduler seam is pluggable: :mod:`repro.dist` provides
 :class:`~repro.dist.remote.RemotePool`, a SolverPool-compatible

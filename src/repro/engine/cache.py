@@ -38,8 +38,7 @@ Every entry carries a CRC32 of its canonical payload serialization; an
 entry whose checksum (or JSON structure) does not survive the round
 trip — a truncated write, a flipped bit on disk — is *quarantined*:
 moved aside into ``_quarantine/`` and treated as a miss, never a crash
-and never served.  Entries written before checksumming landed are
-accepted as-is (missing checksum = legacy entry).
+and never served.  So is an entry without a checksum.
 """
 
 from __future__ import annotations
@@ -301,9 +300,8 @@ class ResultCache:
 
     def _read_entry(self, key: str) -> Optional[Dict[str, Any]]:
         """Read and integrity-check one entry; corrupt files (bad JSON,
-        non-dict payload, or a present-but-mismatched checksum) are
-        quarantined and reported as a miss.  Entries without a
-        ``crc32`` field predate checksumming and are accepted."""
+        non-dict payload, or a missing or mismatched checksum) are
+        quarantined and reported as a miss."""
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -317,15 +315,13 @@ class ResultCache:
         except (ValueError, UnicodeDecodeError):
             self._quarantine(key)
             return None
-        crc = payload.get("crc32")
-        if crc is not None:
-            try:
-                ok = int(crc) == _payload_crc(payload)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                self._quarantine(key)
-                return None
+        try:
+            ok = int(payload["crc32"]) == _payload_crc(payload)
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            self._quarantine(key)
+            return None
         return payload
 
     def has(self, fingerprint: str) -> bool:
@@ -348,8 +344,8 @@ class ResultCache:
             verdict = Verdict.from_dict(data["verdict"])
         except (KeyError, TypeError, ValueError):
             # Structurally broken in a way the checksum could not see
-            # (a legacy entry, or a clean write of garbage): same
-            # treatment — out of the lookup path, report a miss.
+            # (a clean write of garbage): same treatment — out of the
+            # lookup path, report a miss.
             self._quarantine(fingerprint)
             return None
         verdict.cached = True

@@ -8,6 +8,18 @@ commitment, frame).  Because it carries everything the solver needs, it
 can be shipped to a worker process, hashed for a persistent result
 cache, or replayed for debugging.
 
+An obligation asks one of two questions.  Without ``targets`` it is a
+single query: is the formula satisfiable under the assumptions?  With
+``targets`` it *saturates*: which of the target literals can be true
+under the assumptions?  :func:`solve_obligation` answers that with a
+loop of queries on one solver, each guarded by a fresh activation
+literal (Eén & Sörensson, "Temporal induction by incremental SAT
+solving", BMC 2003): "some target not yet found is true".  Each SAT
+query records the targets its model makes true, with that model; the
+loop ends at an UNSAT query or when every target is found.  The found
+set depends only on the formula, because the loop is complete; which
+model finds which target does not.
+
 The clauses travel as one flat ``array("i")``, the obligation's
 ``cnf``: each clause's literals in order, followed by a 0, and the
 clauses back to back in emission order (``[[1, -2], [], [3]]`` is
@@ -120,14 +132,16 @@ def unpack_model(data: bytes, nvars: int) -> List[bool]:
 
 @dataclass
 class ProofObligation:
-    """One independent SAT query, detached from the context that built it.
+    """One independent SAT question, detached from the context that
+    built it: a single query, or with ``targets`` a saturating one (see
+    the module docstring).
 
     An exported obligation (see :mod:`repro.engine.slice`) carries only
-    the cone of influence of its assumptions, renumbered canonically;
-    ``remap`` (new variable -> original context variable) lets
-    ``SatContext.adopt_verdict`` translate a worker's model back into
-    the exporting context's numbering (completing the dropped gates by
-    evaluation).  It is not part of the fingerprint: re-exports of the
+    the cone of influence of its assumptions and targets, renumbered
+    canonically; ``remap`` (new variable -> original context variable)
+    lets ``SatContext.adopt_verdict`` translate a worker's model back
+    into the exporting context's numbering (completing the dropped gates
+    by evaluation).  It is not part of the fingerprint: re-exports of the
     same logical query hash identically no matter how the shared
     context grew after the query's cone was first mapped.
     """
@@ -138,6 +152,9 @@ class ProofObligation:
     cnf: array
     assumptions: List[int]
     frozen: List[int] = field(default_factory=list)
+    #: Saturation targets (see the module docstring); empty for a
+    #: single query.  A verdict names a target by its index here.
+    targets: List[int] = field(default_factory=list)
     conflict_limit: Optional[int] = None
     #: Wall-clock budget in seconds for one solve attempt; exhausting it
     #: yields a :data:`TIMEOUT` verdict.  Like ``conflict_limit`` it is
@@ -148,12 +165,14 @@ class ProofObligation:
     remap: Optional[List[int]] = None   # new var -> original var (0 unused)
 
     def fingerprint(self) -> str:
-        """Content hash of the formula (``cnf`` + assumptions + frozen
-        set).  The conflict limit, the metadata and the slice remap are
-        all excluded: a definite sat/unsat verdict is valid under any
+        """Content hash of the question (``cnf`` + assumptions + frozen
+        set + targets).  The conflict limit, the metadata and the slice
+        remap are all excluded: a definite verdict is valid under any
         limit, and the remap is context bookkeeping that does not change
         what is being proved.  The lengths of the three parts are hashed
-        first, so no two formulas share a byte stream."""
+        first, so no two formulas share a byte stream; targets, in
+        order and after their count, follow only when there are any, so
+        a single query keeps the digest it had before targets existed."""
         cnf = self.cnf
         h = hashlib.sha256(_FINGERPRINT_SALT)
         h.update(array("q", [self.nvars, len(cnf), len(self.assumptions),
@@ -161,6 +180,9 @@ class ProofObligation:
         h.update(cnf)
         h.update(array("q", self.assumptions).tobytes())
         h.update(array("q", sorted(self.frozen)).tobytes())
+        if self.targets:
+            h.update(array("q", [len(self.targets), *self.targets])
+                     .tobytes())
         return h.hexdigest()
 
     def size(self) -> Dict[str, int]:
@@ -174,7 +196,12 @@ class ProofObligation:
 
 @dataclass
 class Verdict:
-    """Result of solving one obligation."""
+    """Result of solving one obligation.
+
+    A saturating obligation's verdict is ``sat`` when it found a target
+    and ``unsat`` when it found none, and it is definite only when the
+    loop ended at an UNSAT query or found every target.  A stopped loop
+    is ``unknown`` or ``timeout`` and still reports what it found."""
 
     status: str                  # sat | unsat | unknown | timeout | poisoned
     obligation: str                   # name of the obligation
@@ -187,6 +214,12 @@ class Verdict:
     #: Structured worker failure reports on a ``poisoned`` verdict:
     #: ``[{"worker", "exc_type", "message", "traceback"}, ...]``.
     failures: Optional[List[Dict[str, Any]]] = None
+    #: A saturating obligation's answer (None for a single query): per
+    #: SAT query, the indices of the targets its model made true that no
+    #: earlier query had found.
+    found: Optional[List[List[int]]] = None
+    #: The packed model of each SAT query, in the order of ``found``.
+    models: Optional[List[bytes]] = None
 
     @property
     def sat(self) -> bool:
@@ -196,12 +229,14 @@ class Verdict:
     def unsat(self) -> bool:
         return self.status == UNSAT
 
-    def model_list(self) -> List[bool]:
-        """The model as a list indexed by DIMACS variable (0 unused)."""
-        if self.model is None:
+    def model_list(self, query: Optional[int] = None) -> List[bool]:
+        """The model as a list indexed by DIMACS variable (0 unused):
+        the single query's, or the one that found ``found[query]``."""
+        model = self.model if query is None else self.models[query]
+        if model is None:
             raise ValueError(f"verdict {self.obligation!r} has no model "
                              f"(status {self.status})")
-        return unpack_model(self.model, self.nvars)
+        return unpack_model(model, self.nvars)
 
     def to_dict(self) -> Dict[str, Any]:
         data = {
@@ -215,12 +250,16 @@ class Verdict:
         }
         if self.failures is not None:
             data["failures"] = [dict(f) for f in self.failures]
+        if self.found is not None:
+            data["found"] = [list(indices) for indices in self.found]
+            data["models"] = [model.hex() for model in self.models]
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Verdict":
         model = data.get("model")
         failures = data.get("failures")
+        found = data.get("found")
         return cls(
             status=data["status"],
             obligation=data["obligation"],
@@ -231,6 +270,10 @@ class Verdict:
             stats=dict(data.get("stats", {})),
             failures=[dict(f) for f in failures]
             if failures is not None else None,
+            found=[[int(i) for i in indices] for indices in found]
+            if found is not None else None,
+            models=[bytes.fromhex(m) for m in data["models"]]
+            if found is not None else None,
         )
 
 
@@ -260,14 +303,14 @@ def _verdict_from_outcome(obligation: ProofObligation, fingerprint: str,
 
 def _frozen_vars(obligation: ProofObligation) -> Set[int]:
     """The variables the pass must keep: the frozen set and every
-    assumption's variable.  Raises :class:`FormalError` on one out of
-    range."""
+    assumption's and target's variable.  Raises :class:`FormalError` on
+    one out of range."""
     nvars = obligation.nvars
     frozen = set(obligation.frozen)
     for var in frozen:
         if not 0 < var <= nvars:
             raise FormalError(f"unknown variable {var}")
-    for lit in obligation.assumptions:
+    for lit in obligation.assumptions + obligation.targets:
         if not (lit and -nvars <= lit <= nvars):
             raise FormalError(
                 f"literal {lit} references an unknown variable")
@@ -280,8 +323,9 @@ def _load(nvars: int, clauses: List[List[int]], assumptions: Sequence[int]
     """A fresh CDCL solver holding ``clauses``, numbered by the snapshot.
 
     The solver gets one variable for each obligation variable that a
-    clause or an assumption mentions, numbered 1..m in increasing order,
-    and the clauses are loaded renumbered, in their order.  Returns the
+    clause or one of ``assumptions`` (the obligation's assumptions and
+    targets) mentions, numbered 1..m in increasing order, and the
+    clauses are loaded renumbered, in their order.  Returns the
     solver and the sorted obligation variables it kept (search variable
     ``i`` is ``kept[i - 1]``).  A variable outside ``1..nvars`` raises
     :class:`FormalError`.
@@ -349,10 +393,31 @@ def _load_warm(obligation: ProofObligation, warm: Dict[str, Any]
                 any(q == 0 or abs(q) > nvars for q in clause):
             return None
     try:
-        solver, kept = _load(nvars, clauses, obligation.assumptions)
+        solver, kept = _load(nvars, clauses,
+                             obligation.assumptions + obligation.targets)
     except FormalError:
         return None
     return solver, kept, stack
+
+
+def _renumber(kept: List[int], lits: Sequence[int]) -> List[int]:
+    """Obligation literals in the numbering of a :func:`_load` solver."""
+    out = []
+    for lit in lits:
+        new = bisect_left(kept, abs(lit)) + 1
+        out.append(new if lit > 0 else -new)
+    return out
+
+
+def _model_values(obligation: ProofObligation, solver: CdclSolver,
+                  kept: List[int], stack: list) -> List[bool]:
+    """The solver's model in the obligation's numbering: a variable
+    ``kept`` leaves out reads False, and ``stack`` extends the model
+    over the eliminated variables."""
+    values = [False] * (obligation.nvars + 1)
+    for var, value in zip(kept, solver.model()[1:]):
+        values[var] = value
+    return reconstruct_model(values, stack)
 
 
 def _search(obligation: ProofObligation, fingerprint: str,
@@ -360,16 +425,11 @@ def _search(obligation: ProofObligation, fingerprint: str,
             extra: Dict[str, int], start: float, cancel_check=None,
             deadline: Optional[float] = None) -> Verdict:
     """Search a snapshot :func:`_load` loaded under the obligation's
-    assumptions, mapped into its numbering.  A model is mapped back
-    (a variable ``kept`` leaves out reads False) and extended over the
-    eliminated variables by ``stack``.  ``extra`` joins the search
-    counters in the verdict's stats."""
-    assumptions = []
-    for lit in obligation.assumptions:
-        new = bisect_left(kept, abs(lit)) + 1
-        assumptions.append(new if lit > 0 else -new)
+    assumptions, mapped into its numbering.  A model is mapped back by
+    :func:`_model_values`.  ``extra`` joins the search counters in the
+    verdict's stats."""
     outcome = solver.solve(
-        assumptions=assumptions,
+        assumptions=_renumber(kept, obligation.assumptions),
         conflict_limit=obligation.conflict_limit,
         cancel_check=cancel_check,
         deadline=deadline,
@@ -378,13 +438,72 @@ def _search(obligation: ProofObligation, fingerprint: str,
     stats.update(extra)
     model: Optional[bytes] = None
     if outcome is True:
-        values = [False] * (obligation.nvars + 1)
-        for var, value in zip(kept, solver.model()[1:]):
-            values[var] = value
-        model = pack_model(reconstruct_model(values, stack))
+        model = pack_model(_model_values(obligation, solver, kept, stack))
     return _verdict_from_outcome(obligation, fingerprint, outcome, model,
                                  stats, start,
                                  stop_reason=solver.stop_reason)
+
+
+def _saturate(obligation: ProofObligation, fingerprint: str,
+              solver: CdclSolver, kept: List[int], stack: list,
+              extra: Dict[str, int], start: float, cancel_check=None,
+              deadline: Optional[float] = None) -> Verdict:
+    """Find which targets can be true (see the module docstring) on the
+    snapshot :func:`_search` would search.
+
+    Each query adds the clause "activation literal implies some open
+    target", solves under the assumptions plus that literal, and on SAT
+    retires the literal with a unit clause.  The conflict limit, the
+    deadline and ``cancel_check`` bound the whole loop: each query gets
+    the conflicts left, and the deadline and the cancel are also
+    checked before every query, since a short query never polls them."""
+    assumptions = _renumber(kept, obligation.assumptions)
+    targets = _renumber(kept, obligation.targets)
+    limit = obligation.conflict_limit
+    open_targets = list(range(len(targets)))
+    found: List[List[int]] = []
+    models: List[bytes] = []
+    outcome: Optional[bool] = False
+    stop_reason: Optional[str] = None
+    queries = 0
+    while open_targets:
+        if cancel_check is not None and cancel_check():
+            outcome, stop_reason = None, "cancelled"
+            break
+        if deadline is not None and time.monotonic() >= deadline:
+            outcome, stop_reason = None, "deadline"
+            break
+        act = solver.new_var()
+        solver.add_clause([-act] + [targets[i] for i in open_targets])
+        # A SAT query stops short of its budget, so ``left`` stays
+        # positive for the next one.
+        left = None if limit is None else limit - solver.stats.conflicts
+        outcome = solver.solve(assumptions=assumptions + [act],
+                               conflict_limit=left,
+                               cancel_check=cancel_check, deadline=deadline)
+        queries += 1
+        stop_reason = solver.stop_reason
+        if outcome is not True:
+            break
+        solver.add_clause([-act])
+        values = _model_values(obligation, solver, kept, stack)
+        true = [values[abs(lit)] == (lit > 0) for lit in obligation.targets]
+        newly = [i for i in open_targets if true[i]]
+        if not newly:
+            raise FormalError("a saturation query made no open target true")
+        found.append(newly)
+        models.append(pack_model(values))
+        open_targets = [i for i in open_targets if not true[i]]
+    stats = solver.stats.as_dict()
+    stats.update(extra)
+    stats["saturation_queries"] = queries
+    if outcome is not None:
+        outcome = bool(found)
+    verdict = _verdict_from_outcome(obligation, fingerprint, outcome, None,
+                                    stats, start, stop_reason=stop_reason)
+    verdict.found = found
+    verdict.models = models
+    return verdict
 
 
 def solve_obligation(obligation: ProofObligation,
@@ -394,9 +513,9 @@ def solve_obligation(obligation: ProofObligation,
 
     A cold solve runs one SatELite-style pass (:class:`Simplifier`, with
     :data:`~repro.formal.preprocess.PASS_SETTINGS`) over the
-    obligation's clauses, keeping the frozen set and the assumption
-    variables, and searches the resulting *snapshot*: the nvars, the
-    units plus the simplified clauses, and the model-reconstruction
+    obligation's clauses, keeping the frozen set and the assumption and
+    target variables, and searches the resulting *snapshot*: the nvars,
+    the units plus the simplified clauses, and the model-reconstruction
     stack.  ``simp_cache`` (a :class:`repro.engine.cache.ResultCache`)
     enables warm starts: a cold solve whose search leaves the obligation
     open (an ``unknown`` or ``timeout`` verdict) stores its snapshot
@@ -407,18 +526,23 @@ def solve_obligation(obligation: ProofObligation,
     snapshot: the caller stores that verdict under the same fingerprint,
     and every lookup reads the verdict first.
 
+    An obligation with targets saturates that snapshot on one solver
+    (:func:`_saturate`); a snapshot, a stored one included, is the same
+    for either question.
+
     The search numbers only the variables the snapshot mentions (its
-    clauses and the assumptions; about one in five on the Tab.-I grid),
-    so it never allocates or decides the ones the pass removed, and such
-    a variable reads False until the stack extends the model.  That the
+    clauses, assumptions and targets; about one in five on the Tab.-I
+    grid), so it never allocates or decides the ones the pass removed,
+    and such a variable reads False until the stack extends the model.  That the
     search is otherwise the one a numbering of all ``nvars`` variables
     makes is measured, not guaranteed: :func:`_load` says what was
     compared and the one known way it can differ.
 
     Out-of-range input (a literal or frozen variable outside
-    ``1..nvars``, or a zero assumption) raises :class:`FormalError`,
-    also where the literal would not change the answer, and so does a
-    ``cnf`` whose last clause has no terminating 0.
+    ``1..nvars``, or a zero assumption or target) raises
+    :class:`FormalError`, also where the literal would not change the
+    answer, and so does a ``cnf`` whose last clause has no terminating
+    0.
 
     ``cancel_check`` is polled inside the CDCL conflict loop (every
     :data:`repro.formal.solver.CANCEL_CHECK_EVERY` conflicts); returning
@@ -431,7 +555,8 @@ def solve_obligation(obligation: ProofObligation,
     this attempt; exhausting it yields a :data:`TIMEOUT` verdict —
     distinguishable from the ``unknown`` of a conflict-limit exhaustion
     or a cancel, so callers can report "timed out" instead of hanging
-    or guessing.
+    or guessing.  The conflict limit, the deadline and the cancel each
+    bound a saturating solve as a whole, not one query of it.
     """
     start = time.perf_counter()
     deadline = None
@@ -440,14 +565,15 @@ def solve_obligation(obligation: ProofObligation,
     _check_terminated(obligation.cnf)
     frozen = _frozen_vars(obligation)
     fingerprint = obligation.fingerprint()
+    search = _saturate if obligation.targets else _search
     if simp_cache is not None:
         warm = simp_cache.lookup_simplified(fingerprint)
         loaded = _load_warm(obligation, warm) if warm is not None else None
         if loaded is not None:
             solver, kept, stack = loaded
-            return _search(obligation, fingerprint, solver, kept, stack,
-                           {"simplify_warm_starts": 1}, start,
-                           cancel_check=cancel_check, deadline=deadline)
+            return search(obligation, fingerprint, solver, kept, stack,
+                          {"simplify_warm_starts": 1}, start,
+                          cancel_check=cancel_check, deadline=deadline)
     simp_stats = SimplifyStats()
     simp_stats.simplifications = 1
     result = Simplifier(obligation.nvars, decode_cnf(obligation.cnf),
@@ -457,12 +583,13 @@ def solve_obligation(obligation: ProofObligation,
     # search answers UNSAT at once.
     clauses = [[unit] for unit in result.units] if result.ok else [[]]
     clauses += result.clauses
-    solver, kept = _load(obligation.nvars, clauses, obligation.assumptions)
+    solver, kept = _load(obligation.nvars, clauses,
+                         obligation.assumptions + obligation.targets)
     extra = {f"simplify_{key}": value
              for key, value in simp_stats.as_dict().items()}
-    verdict = _search(obligation, fingerprint, solver, kept, result.stack,
-                      extra, start, cancel_check=cancel_check,
-                      deadline=deadline)
+    verdict = search(obligation, fingerprint, solver, kept, result.stack,
+                     extra, start, cancel_check=cancel_check,
+                     deadline=deadline)
     if simp_cache is not None and verdict.status not in DEFINITE:
         simp_cache.store_simplified(fingerprint, {
             "nvars": obligation.nvars,

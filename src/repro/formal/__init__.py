@@ -10,7 +10,6 @@ bit-blasting (:mod:`repro.formal.bitblast`), sequential unrolling
 from repro.formal.aig import Aig, CnfMapper
 from repro.formal.bmc import BmcEngine, BmcResult, SatContext, Witness
 from repro.formal.bitblast import BitBlaster, bits_to_int, const_bits
-from repro.formal.dimacs import read_dimacs, write_dimacs
 from repro.formal.induction import InductionResult, prove_by_induction
 from repro.formal.preprocess import (
     Simplifier,
@@ -18,7 +17,6 @@ from repro.formal.preprocess import (
     SimplifyResult,
     SimplifyStats,
     reconstruct_model,
-    simplify_clauses,
 )
 from repro.formal.solver import CdclSolver, luby_sequence
 from repro.formal.unroll import Unroller
@@ -42,8 +40,5 @@ __all__ = [
     "const_bits",
     "luby_sequence",
     "prove_by_induction",
-    "read_dimacs",
     "reconstruct_model",
-    "simplify_clauses",
-    "write_dimacs",
 ]

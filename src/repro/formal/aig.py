@@ -14,10 +14,13 @@ literal 1 is TRUE.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import FormalError
-from repro.formal.solver import CdclSolver
+
+if TYPE_CHECKING:
+    from repro.formal.bmc import ClauseLog
 
 FALSE = 0
 TRUE = 1
@@ -172,18 +175,17 @@ class Aig:
 
 
 class CnfMapper:
-    """Incremental Tseitin transformation of AIG cones into a solver.
+    """Incremental Tseitin transformation of AIG cones into a clause log.
 
-    Each AIG node is mapped to a solver variable on demand; repeated calls
-    share previously emitted clauses, so the UPEC methodology can assert many
+    Each AIG node is mapped to a variable of the
+    :class:`~repro.formal.bmc.ClauseLog` on demand; repeated calls share
+    previously emitted clauses, so the UPEC methodology can assert many
     different proof obligations over one unrolled model.
 
     Each AND node becomes a fresh variable ``v`` defined by the Tseitin
     clauses ``[-v, a]``, ``[-v, b]``, ``[v, -a, -b]`` over its children's
-    literals.  A recording solver (:class:`~repro.formal.bmc.ClauseLog`)
-    takes the gate as one ``add_and(v, a, b)`` row, which gives
-    cone-of-influence slicing its fan-in direction; a plain solver gets
-    the three clauses.
+    literals, which the log takes as one ``add_and(v, a, b)`` row: that
+    gives cone-of-influence slicing its fan-in direction.
 
     Invariant: a mapped AND node's cone is fully mapped, because a node is
     only mapped after both of its children.  Mapping a new root therefore
@@ -192,14 +194,11 @@ class CnfMapper:
     (:meth:`Aig.cone`) gives them: the same variables and clauses.
     """
 
-    def __init__(self, aig: Aig, solver: Optional[CdclSolver] = None) -> None:
+    def __init__(self, aig: Aig, solver: "ClauseLog") -> None:
         self.aig = aig
-        self.solver = solver if solver is not None else CdclSolver()
+        self.solver = solver
         self._node_var: Dict[int, int] = {}
         self.clauses_emitted = 0
-        # A recording solver (ClauseLog) records each gate as one row;
-        # a plain solver gets its three clauses.
-        self._add_and = getattr(self.solver, "add_and", None)
         # Node values read under an adopted model (see model_lit), valid
         # for the adopted model object they were read under and until the
         # next node is mapped.
@@ -212,17 +211,16 @@ class CnfMapper:
         if lit == FALSE or lit == TRUE:
             # Materialize a constant variable once.  Its defining unit is
             # frame-independent, so shield it from any frame tag the
-            # recording solver is currently applying to asserted units —
-            # a sliced obligation must never drop the constant's clause.
+            # log is currently applying to asserted units — a sliced
+            # obligation must never drop the constant's clause.
             var = self._node_var.get(0)
             if var is None:
-                var = self.solver.new_var()
-                tag = getattr(self.solver, "unit_tag", None)
-                if tag is not None:
-                    self.solver.unit_tag = None
-                self.solver.add_clause([-var])  # node 0 is FALSE
-                if tag is not None:
-                    self.solver.unit_tag = tag
+                log = self.solver
+                var = log.new_var()
+                tag = log.unit_tag
+                log.unit_tag = None
+                log.add_clause([-var])  # node 0 is FALSE
+                log.unit_tag = tag
                 self._node_var[0] = var
             return -var if lit == TRUE else var
         node = lit >> 1
@@ -239,7 +237,7 @@ class CnfMapper:
         node_var = self._node_var
         fanins_of = self.aig.fanins
         solver = self.solver
-        add_and = self._add_and
+        add_and = solver.add_and
         seen: Set[int] = set()
         stack: List[Tuple[int, bool]] = [(root, False)]
         while stack:
@@ -249,13 +247,7 @@ class CnfMapper:
                 a = self._leaf_or_var(fanins[0])
                 b = self._leaf_or_var(fanins[1])
                 v = solver.new_var()
-                # v <-> a & b
-                if add_and is not None:
-                    add_and(v, a, b)
-                else:
-                    solver.add_clause([-v, a])
-                    solver.add_clause([-v, b])
-                    solver.add_clause([v, -a, -b])
+                add_and(v, a, b)  # v <-> a & b
                 self.clauses_emitted += 3
                 node_var[node] = v
                 continue
@@ -295,12 +287,8 @@ class CnfMapper:
         """Mark an AIG literal's variable as witness-relevant: a
         simplifying solver must not eliminate it, so counterexample
         values come from the search rather than from don't-care
-        reconstruction.  No-op for solvers without frozen variables."""
-        freeze = getattr(self.solver, "freeze_var", None)
-        if freeze is None:
-            return
-        var = self.lit_to_solver(lit)
-        freeze(abs(var))
+        reconstruction."""
+        self.solver.freeze_var(abs(self.lit_to_solver(lit)))
 
     def assumption(self, lit: int) -> int:
         """DIMACS literal usable as a solver assumption."""
@@ -324,10 +312,10 @@ class CnfMapper:
         node = lit >> 1
         var = self._node_var.get(node)
         if var is None:
-            adopted = getattr(self.solver, "_adopted", None)
+            adopted = self.solver._adopted
             if adopted is not None:
                 return bool(lit & 1) ^ self._eval_unmapped(node, adopted)
-            return bool(lit & 1) ^ bool(self._free_value(node))
+            return bool(lit & 1)
         return self.solver.model_value(-var if lit & 1 else var)
 
     def _eval_unmapped(self, node: int, adopted: Sequence[bool]) -> bool:
@@ -369,7 +357,3 @@ class CnfMapper:
             stack.append((fanins[0] >> 1, False))
             stack.append((fanins[1] >> 1, False))
         return values[node]
-
-    @staticmethod
-    def _free_value(node: int) -> bool:
-        return False

@@ -266,34 +266,39 @@ class SatContext:
         wall_budget: Optional[float] = None,
         meta: Optional[Dict[str, Any]] = None,
         frame: Optional[int] = None,
+        targets: Sequence[int] = (),
     ):
-        """Snapshot the cone of influence of AIG-literal assumptions as a
-        serializable :class:`repro.engine.obligation.ProofObligation`.
+        """Snapshot the cone of influence of AIG-literal assumptions (and
+        saturation ``targets``) as a serializable
+        :class:`repro.engine.obligation.ProofObligation`.
 
         The obligation carries only the clauses that can influence the
-        assumptions plus the asserted units — canonically renumbered, so
-        its fingerprint does not depend on how the shared context grew.
-        ``frame`` additionally drops units tagged with a later frame (the
-        UPEC per-frame window assumptions).
+        assumptions and targets plus the asserted units — canonically
+        renumbered, so its fingerprint does not depend on how the shared
+        context grew.  ``frame`` additionally drops units tagged with a
+        later frame (the UPEC per-frame window assumptions).
         """
         from repro.engine.obligation import ProofObligation
         from repro.engine.slice import slice_cnf
 
-        # Mapping the assumptions may emit their cones; do it before the
-        # clause snapshot so the obligation is self-contained.
+        # Mapping the assumptions and targets may emit their cones; do it
+        # before the clause snapshot so the obligation is self-contained.
         dimacs = [self.mapper.assumption(lit) for lit in assumptions]
+        dimacs += [self.mapper.assumption(lit) for lit in targets]
         sliced = slice_cnf(self.solver, dimacs, unit_cutoff=frame)
         totals = self._slice_totals
         totals["obligations_exported"] = \
             totals.get("obligations_exported", 0) + 1
         for key, value in sliced.stats().items():
             totals[key] = totals.get(key, 0) + value
+        split = len(assumptions)
         return ProofObligation(
             name=name,
             nvars=sliced.nvars,
             cnf=sliced.cnf,
-            assumptions=sliced.assumptions,
+            assumptions=sliced.assumptions[:split],
             frozen=sliced.frozen,
+            targets=sliced.assumptions[split:],
             conflict_limit=conflict_limit,
             wall_budget=wall_budget,
             meta=dict(meta or {}),
@@ -343,11 +348,13 @@ class SatContext:
                     (model[b] if b > 0 else not model[-b])
         return model
 
-    def adopt_verdict(self, obligation, verdict) -> None:
-        """Adopt a worker verdict's model for witness extraction,
+    def adopt_verdict(self, obligation, verdict,
+                      query: Optional[int] = None) -> None:
+        """Adopt a worker verdict's model (for a saturating verdict, the
+        one that found ``verdict.found[query]``) for witness extraction,
         completing out-of-slice gates via :meth:`complete_model`."""
         self.adopt_model(self.complete_model(obligation,
-                                             verdict.model_list()))
+                                             verdict.model_list(query)))
 
     def solve(
         self,
@@ -423,18 +430,21 @@ class BmcResult:
 class BmcEngine:
     """Bounded safety checking of one circuit.
 
-    With ``engine`` set (a :class:`repro.engine.ProofEngine`), each
-    frame's query is exported as a proof obligation and dispatched to
-    the scheduler/cache layers; otherwise queries are solved on the
-    context's incremental in-process solver.
+    Each frame's query is exported as a proof obligation and solved on
+    ``engine`` (a :class:`repro.engine.ProofEngine`; a private
+    ``ProofEngine(jobs=1)`` when none is given), so the scheduler and
+    cache layers apply.  A frame whose bad literal structural hashing
+    folds to FALSE holds without an obligation.
     """
 
     def __init__(self, circuit: Circuit, init: str = "reset",
                  engine=None) -> None:
+        from repro.engine.pool import ProofEngine
+
         self.circuit = circuit.finalize()
         self.context = SatContext()
         self.unroller = Unroller(circuit, self.context.aig, init=init)
-        self.engine = engine
+        self.engine = engine if engine is not None else ProofEngine(jobs=1)
 
     def extract_witness(self, depth: int, failed_frame: int) -> Witness:
         frames: List[Dict[str, int]] = []
@@ -470,43 +480,14 @@ class BmcEngine:
             for expr in assumptions:
                 self.context.assert_lit(self.unroller.expr_lit(expr, t),
                                         frame=t)
-        if self.engine is not None:
-            return self._check_frames_engine(k, assertion, conflict_limit,
-                                             start)
-        for t in range(k + 1):
-            bad = self.unroller.expr_lit(assertion, t) ^ 1
-            outcome = self.context.solve(
-                assumptions=[bad], conflict_limit=conflict_limit
-            )
-            if outcome is None:
-                raise FormalError(
-                    f"conflict limit exhausted at frame {t} "
-                    f"(limit={conflict_limit})"
-                )
-            if outcome:
-                witness = self.extract_witness(k, t)
-                return BmcResult(
-                    holds=False,
-                    depth=t,
-                    witness=witness,
-                    runtime_s=time.perf_counter() - start,
-                    stats=self.context.stats(),
-                )
-        return BmcResult(
-            holds=True,
-            depth=k,
-            runtime_s=time.perf_counter() - start,
-            stats=self.context.stats(),
-        )
-
-    def _check_frames_engine(self, k: int, assertion: Expr,
-                             conflict_limit: Optional[int],
-                             start: float) -> BmcResult:
-        """Obligation-based frame checks via the scheduler/cache engine."""
         since = self.engine.stats()
+        frames = []
         obligations = []
         for t in range(k + 1):
             bad = self.unroller.expr_lit(assertion, t) ^ 1
+            if bad == 0:
+                continue
+            frames.append(t)
             obligations.append(self.context.export_obligation(
                 name=f"bmc[{self.circuit.name}]@t{t}",
                 assumptions=[bad], conflict_limit=conflict_limit,
@@ -518,11 +499,11 @@ class BmcEngine:
         )
         stats = dict(self.context.stats())
         stats.update(self.engine.stats(since=since))
-        for t, verdict in enumerate(verdicts):
+        for t, obligation, verdict in zip(frames, obligations, verdicts):
             if verdict is None or verdict.unsat:
                 continue
             if verdict.sat:
-                self.context.adopt_verdict(obligations[t], verdict)
+                self.context.adopt_verdict(obligation, verdict)
                 witness = self.extract_witness(k, t)
                 return BmcResult(
                     holds=False, depth=t, witness=witness,

@@ -58,16 +58,19 @@ def prove_by_induction(
     """Attempt to prove ``AG prop`` (under per-cycle assumptions) by
     k-induction.
 
-    With ``engine`` set (a :class:`repro.engine.ProofEngine`), the base
-    case's frame checks and the step case are dispatched as proof
-    obligations (parallel frame checks, persistent result cache).
+    The base case's frame checks and the step case are proof
+    obligations, solved on ``engine`` (a :class:`repro.engine.ProofEngine`;
+    a private ``ProofEngine(jobs=1)`` when none is given).  A check whose
+    bad literal folds to FALSE holds without one.
     """
     if prop.width != 1:
         raise FormalError("property must be a 1-bit expression")
     start = time.perf_counter()
 
-    # Base case: BMC from reset for k cycles.
+    # Base case: BMC from reset for k cycles.  The step case solves on
+    # the same engine.
     base_engine = BmcEngine(circuit, init="reset", engine=engine)
+    engine = base_engine.engine
     base = base_engine.check_always(
         prop, k=k, assumptions=assumptions, conflict_limit=conflict_limit
     )
@@ -89,7 +92,9 @@ def prove_by_induction(
     for assume in assumptions:
         ctx.assert_lit(unroller.expr_lit(assume, k))
     bad = unroller.expr_lit(prop, k) ^ 1
-    if engine is not None:
+    since = engine.stats()
+    verdict = None
+    if bad != 0:
         step_ob = ctx.export_obligation(
             name=f"induction[{circuit.name}]@step{k}",
             assumptions=[bad], conflict_limit=conflict_limit,
@@ -98,25 +103,24 @@ def prove_by_induction(
         verdict = engine.solve_ordered([step_ob])[0]
         if verdict.sat:
             ctx.adopt_verdict(step_ob, verdict)
-        outcome = True if verdict.sat else (False if verdict.unsat else None)
-    else:
-        outcome = ctx.solve(assumptions=[bad], conflict_limit=conflict_limit)
-    if outcome is None:
-        raise FormalError("conflict limit exhausted in the induction step")
-    if outcome:
-        frames = []
-        for t in range(k + 1):
-            frames.append({
-                reg.name: ctx.word_value(unroller.reg_bits(reg, t))
-                for reg in circuit.regs.values()
-            })
-        witness = Witness(frames=frames, failed_frame=k)
+        elif not verdict.unsat:
+            raise FormalError(
+                "conflict limit exhausted in the induction step")
+    stats = dict(ctx.stats())
+    stats.update(engine.stats(since=since))
+    if verdict is None or verdict.unsat:
         return InductionResult(
-            proved=False, k=k, failed_case="step", base=base,
-            step_witness=witness,
-            runtime_s=time.perf_counter() - start, stats=ctx.stats(),
+            proved=True, k=k, base=base,
+            runtime_s=time.perf_counter() - start, stats=stats,
         )
+    frames = []
+    for t in range(k + 1):
+        frames.append({
+            reg.name: ctx.word_value(unroller.reg_bits(reg, t))
+            for reg in circuit.regs.values()
+        })
     return InductionResult(
-        proved=True, k=k, base=base,
-        runtime_s=time.perf_counter() - start, stats=ctx.stats(),
+        proved=False, k=k, failed_case="step", base=base,
+        step_witness=Witness(frames=frames, failed_frame=k),
+        runtime_s=time.perf_counter() - start, stats=stats,
     )

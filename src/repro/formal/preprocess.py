@@ -571,12 +571,6 @@ class Simplifier:
         )
 
 
-def simplify_clauses(nvars: int, clauses: Iterable[Sequence[int]],
-                     frozen: Iterable[int] = (), **kwargs) -> SimplifyResult:
-    """Run one simplification pass over a CNF (convenience wrapper)."""
-    return Simplifier(nvars, clauses, frozen=frozen, **kwargs).run()
-
-
 class SimplifyingSolver:
     """A :class:`CdclSolver` facade with pre- and inprocessing.
 

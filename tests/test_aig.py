@@ -127,10 +127,10 @@ def test_cone_topological():
 
 def test_cnf_mapper_equivalence():
     """SAT on the Tseitin encoding agrees with direct evaluation."""
-    aig = Aig()
+    ctx = SatContext()
+    aig, mapper = ctx.aig, ctx.mapper
     a, b, c = aig.new_inputs(3)
     formula = aig.or_(aig.and_(a, b), aig.xor_(b, c))
-    mapper = CnfMapper(aig)
     target = mapper.assumption(formula)
     assert mapper.solver.solve(assumptions=[target]) is True
     model = {
@@ -146,8 +146,7 @@ def test_cnf_mapper_equivalence():
 
 
 def test_cnf_mapper_constants():
-    aig = Aig()
-    mapper = CnfMapper(aig)
+    mapper = SatContext().mapper
     assert mapper.solver.solve(assumptions=[mapper.assumption(TRUE)]) is True
     assert mapper.solver.solve(assumptions=[mapper.assumption(FALSE)]) is False
     assert mapper.model_lit(TRUE) is True
@@ -155,9 +154,9 @@ def test_cnf_mapper_constants():
 
 
 def test_cnf_mapper_unsat_on_contradiction():
-    aig = Aig()
-    a = aig.new_input()
-    mapper = CnfMapper(aig)
+    ctx = SatContext()
+    a = ctx.aig.new_input()
+    mapper = ctx.mapper
     mapper.assert_true(a)
     mapper.assert_true(a ^ 1)
     assert mapper.solver.solve() is False
@@ -165,10 +164,10 @@ def test_cnf_mapper_unsat_on_contradiction():
 
 def test_cnf_mapper_incremental_sharing():
     """Emitting the same cone twice adds no new clauses."""
-    aig = Aig()
-    a, b = aig.new_inputs(2)
-    n = aig.and_(a, b)
-    mapper = CnfMapper(aig)
+    ctx = SatContext()
+    a, b = ctx.aig.new_inputs(2)
+    n = ctx.aig.and_(a, b)
+    mapper = ctx.mapper
     mapper.assumption(n)
     emitted = mapper.clauses_emitted
     mapper.assumption(n)
@@ -176,10 +175,10 @@ def test_cnf_mapper_incremental_sharing():
 
 
 def test_model_lit_for_unconstrained_node():
-    aig = Aig()
-    a = aig.new_input()
-    b = aig.new_input()
-    mapper = CnfMapper(aig)
+    ctx = SatContext()
+    a = ctx.aig.new_input()
+    b = ctx.aig.new_input()
+    mapper = ctx.mapper
     mapper.assert_true(a)
     assert mapper.solver.solve() is True
     # b never reached the solver; defaults to False.

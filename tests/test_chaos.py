@@ -158,24 +158,6 @@ def test_plan_streams_are_independent_per_connection():
     assert [s1.next_fault(64) for _ in range(20)] == s1_alone
 
 
-def test_plan_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS_SEED", "42")
-    monkeypatch.setenv("REPRO_CHAOS_BITFLIP", "0.25")
-    monkeypatch.setenv("REPRO_CHAOS_STALL", "0.5")
-    monkeypatch.setenv("REPRO_CHAOS_STALL_S", "0.01")
-    plan = ChaosPlan.from_env()
-    assert plan.seed == 42
-    assert plan.bitflip_rate == 0.25
-    assert plan.stall_rate == 0.5
-    assert plan.stall_max_s == 0.01
-    assert plan.reset_rate == 0.0
-    # An explicit seed argument beats the environment.
-    assert ChaosPlan.from_env(seed=7).seed == 7
-    # Garbage values fall back instead of crashing the proxy.
-    monkeypatch.setenv("REPRO_CHAOS_BITFLIP", "lots")
-    assert ChaosPlan.from_env().bitflip_rate == 0.0
-
-
 # ----------------------------------------------------------------------
 # Frame integrity (the hardening the bitflip fault exercises)
 # ----------------------------------------------------------------------

@@ -117,8 +117,15 @@ def test_parser_requires_command():
     ["attack", "orc", "secure", "--secret", "999"],
     ["attack", "meltdown", "secure", "--secret", "-1"],
     ["methodology", "secure", "--no-preprocess"],
+    # Only ``info`` takes --geometry; the other commands build one fixed
+    # geometry each, so the flag would be ignored there.
+    ["check", "secure", "--geometry", "sim", "--k", "1",
+     "--conflict-limit", "5"],
+    ["methodology", "secure", "--geometry", "sim"],
+    ["attack", "orc", "secure", "--geometry", "formal"],
 ], ids=["unknown-flag", "non-integer-k", "non-integer-secret",
-        "secret-above-255", "negative-secret", "no-preprocess"])
+        "secret-above-255", "negative-secret", "no-preprocess",
+        "check-geometry", "methodology-geometry", "attack-geometry"])
 def test_parse_errors_exit_64_not_the_insecure_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -174,6 +174,11 @@ def test_obligation_wire_roundtrip_preserves_fingerprint():
     for flag in (True, False):
         legacy = obligation_from_wire({**wire, "simplify": flag})
         assert legacy.fingerprint() == obligation.fingerprint()
+    # A payload without targets, as protocol v3 wrote it (a durable
+    # broker's journals included), is the same single query.
+    assert wire.pop("targets") == []
+    assert obligation_from_wire(wire).fingerprint() == \
+        obligation.fingerprint()
 
 
 def test_wire_literal_beyond_int32_is_malformed():
@@ -231,17 +236,20 @@ def test_parse_address():
 
 
 def test_handshake_rejects_version_mismatch(broker):
-    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
-    conn = Connection(sock)
-    conn.send({"type": "hello", "proto": PROTO_VERSION + 999,
-               "role": "worker"})
-    reply = conn.recv()
-    assert reply["type"] == "error"
-    assert "version mismatch" in reply["reason"]
-    # The broker hangs up and never registers the peer.
-    assert conn.recv() is None
-    assert broker.snapshot()["workers"] == []
-    conn.close()
+    # Version 3 predates saturation targets: such a worker would drop
+    # them and answer a different question.
+    for proto in (PROTO_VERSION + 999, 3):
+        sock = socket.create_connection(("127.0.0.1", broker.port),
+                                        timeout=5)
+        conn = Connection(sock)
+        conn.send({"type": "hello", "proto": proto, "role": "worker"})
+        reply = conn.recv()
+        assert reply["type"] == "error"
+        assert "version mismatch" in reply["reason"]
+        # The broker hangs up and never registers the peer.
+        assert conn.recv() is None
+        assert broker.snapshot()["workers"] == []
+        conn.close()
 
 
 def test_handshake_rejects_unknown_role(broker):

@@ -521,9 +521,10 @@ def test_cache_corrupt_simplified_payload_is_quarantined_miss(tmp_path):
         solve_obligation(ob).status
 
 
-def test_cache_legacy_entry_without_crc_still_served(tmp_path):
-    """Pre-CRC cache entries (no "crc32" field) stay readable — a
-    version upgrade must not cold-start every fleet cache."""
+def test_cache_entry_without_crc_is_quarantined_miss(tmp_path):
+    """Every entry this cache writes carries a checksum, so one without
+    a ``crc32`` field is corrupt like any other: quarantined, and the
+    lookup misses."""
     import json as json_mod
 
     ob = _obligation([[1, 2]])
@@ -534,9 +535,11 @@ def test_cache_legacy_entry_without_crc_still_served(tmp_path):
     assert "crc32" in payload
     del payload["crc32"]
     path.write_text(json_mod.dumps(payload))
-    legacy = ResultCache(str(tmp_path))
-    assert legacy.lookup(ob) is not None
-    assert legacy.quarantined == 0
+    stripped = ResultCache(str(tmp_path))
+    assert stripped.lookup(ob) is None
+    assert stripped.quarantined == 1
+    assert not path.exists()
+    assert (tmp_path / "_quarantine" / path.name).exists()
 
 
 def test_cache_entry_is_its_payload_plus_crc(tmp_path):

@@ -286,26 +286,34 @@ def test_methodology_cache_hits_on_second_run(tmp_path):
 # Closure proofs on the engine
 # ----------------------------------------------------------------------
 def test_closure_step_parallel_matches_legacy_verdicts():
-    """The per-register closure obligations are independent; running
-    them on the worker pool must refute the same obligations as the
-    legacy in-context batch (which counterexample is found may differ,
-    but holds/fails per obligation is formula-determined)."""
+    """The closure step's one saturating obligation must refute the same
+    checks as per-register obligations, one query per check, solved here
+    on a worker pool (which counterexample is found may differ, but
+    holds/fails per check is formula-determined)."""
     soc = SOCS["secure"]
     bad = [
         CondEq(soc.resp_buf, cond=None),
         CondEq(soc.secret_cache_data_reg, cond=None),
     ]
-    legacy = InductiveDiffProof(soc, SCENARIO, bad, engine=None) \
-        .check_step(conflict_limit=200_000)
     parallel = ProofEngine(jobs=2)
     try:
-        par = InductiveDiffProof(soc, SCENARIO, bad, engine=parallel) \
-            .check_step(conflict_limit=200_000)
+        proof = InductiveDiffProof(soc, SCENARIO, bad, engine=parallel)
+        par = proof.check_step(conflict_limit=200_000)
+        model, checks = proof.step_checks()
+        live = [(name, target) for name, target in checks if target != 0]
+        verdicts = parallel.solve_ordered([
+            model.context.export_obligation(
+                name=name, assumptions=[target], conflict_limit=200_000)
+            for name, target in live
+        ])
     finally:
         parallel.close()
-    assert not legacy.holds and not par.holds
-    assert [(ob.name, ob.holds) for ob in legacy.obligations] == \
-        [(ob.name, ob.holds) for ob in par.obligations]
+    assert all(v.sat or v.unsat for v in verdicts)
+    refuted = {name for (name, _), v in zip(live, verdicts) if v.sat}
+    assert not par.holds
+    assert [(ob.name, ob.holds) for ob in par.obligations] == \
+        [(name, name not in refuted) for name, _ in checks]
+    assert par.stats["engine_obligations_solved"] == 1
     # Every refuted obligation still carries a concrete escapee.
     assert all(ob.counterexample for ob in par.failed())
 
@@ -322,6 +330,10 @@ def _counter_circuit():
 
 
 def test_bmc_engine_mode_matches_inline():
+    """Without ``engine=`` a BMC run solves on a private ``jobs=1``
+    engine; on a pool it must reach the same known depth.  The counter
+    starts from reset, so structural hashing settles every frame but the
+    failing one, and that frame is the only obligation."""
     c, cnt = _counter_circuit()
     inline = BmcEngine(c, init="reset").check_always(cnt.ne(5), k=8)
     engine = ProofEngine(jobs=2)
@@ -333,6 +345,8 @@ def test_bmc_engine_mode_matches_inline():
     assert not inline.holds and not parallel.holds
     assert inline.depth == parallel.depth == 5
     assert parallel.witness.value("cnt", 5) == 5
+    assert inline.witness.value("cnt", 5) == 5
+    assert inline.stats["engine_obligations_solved"] == 1
     # Proved side.
     c2, cnt2 = _counter_circuit()
     engine2 = ProofEngine(jobs=2)
@@ -342,6 +356,7 @@ def test_bmc_engine_mode_matches_inline():
     finally:
         engine2.close()
     assert proved.holds and proved.depth == 6
+    assert proved.stats["engine_obligations_solved"] == 0
 
 
 def test_induction_engine_mode(tmp_path):

@@ -37,7 +37,6 @@ from repro.formal.preprocess import (
     SimplifyResult,
     SimplifyStats,
     reconstruct_model,
-    simplify_clauses,
 )
 from repro.formal.solver import CdclSolver
 
@@ -190,7 +189,7 @@ def test_simplifier_preserves_satisfiability():
     for _ in range(120 * FUZZ_SCALE):
         nvars, clauses = random_cnf(rng, max_vars=10)
         expected = brute_force_sat(nvars, clauses)
-        result = simplify_clauses(nvars, clauses)
+        result = Simplifier(nvars, clauses).run()
         if not result.ok:
             assert expected is False
             continue
@@ -216,7 +215,7 @@ def test_frozen_variables_survive_elimination():
     for _ in range(40 * FUZZ_SCALE):
         nvars, clauses = random_cnf(rng, max_vars=8)
         frozen = {rng.randint(1, nvars) for _ in range(2)}
-        result = simplify_clauses(nvars, clauses, frozen=frozen)
+        result = Simplifier(nvars, clauses, frozen=frozen).run()
         for var in frozen:
             assert var not in result.eliminated
 

@@ -1,13 +1,7 @@
-"""Tests for reporting helpers, the cache monitor and DIMACS I/O."""
-
-import io
-
-import pytest
+"""Tests for reporting helpers and the cache monitor."""
 
 from repro.core import UpecModel, UpecScenario, cache_protocol_ok
 from repro.core.report import format_kv_block, format_table, paper_vs_measured
-from repro.errors import FormalError
-from repro.formal import read_dimacs, write_dimacs
 from repro.soc import SocConfig, build_soc
 from repro.soc import isa
 from repro.soc.config import FORMAL_CONFIG_KWARGS
@@ -106,34 +100,3 @@ def test_constraint_expressions_hold_in_simulation():
         sim.step()
     assert saw_protected  # boot establishes the protection invariant
 
-
-# ----------------------------------------------------------------------
-# DIMACS
-# ----------------------------------------------------------------------
-def test_dimacs_roundtrip():
-    clauses = [[1, -2], [2, 3, -1], [-3]]
-    buf = io.StringIO()
-    write_dimacs(buf, 3, clauses)
-    buf.seek(0)
-    nvars, parsed = read_dimacs(buf)
-    assert nvars == 3
-    assert parsed == clauses
-
-
-def test_dimacs_parse_errors():
-    with pytest.raises(FormalError):
-        read_dimacs(io.StringIO("p qbf 1 1\n1 0\n"))
-    with pytest.raises(FormalError):
-        read_dimacs(io.StringIO("p cnf 1 1\n2 0\n"))
-    with pytest.raises(FormalError):
-        read_dimacs(io.StringIO("p cnf 1 1\n1\n"))
-    with pytest.raises(FormalError):
-        read_dimacs(io.StringIO("p cnf 2 5\n1 0\n"))
-
-
-def test_dimacs_comments_ignored():
-    nvars, clauses = read_dimacs(
-        io.StringIO("c comment\np cnf 2 1\nc another\n1 -2 0\n")
-    )
-    assert nvars == 2
-    assert clauses == [[1, -2]]

@@ -4,12 +4,14 @@ An exported (sliced) obligation must be equisatisfiable with an
 in-place solve of the full recorded formula, and a sliced model must
 expand (via the remap table) to a model of that full formula —
 exercised on seeded random miter contexts, and end to end on the
-closure and BMC front ends against their in-context (``engine=None``)
-paths.  A second family of tests pins down the history-independence
-guarantee: the fingerprint of a sliced frame obligation must not move
-when unrelated frames, registers or commitments grow the shared
-context, which is what makes the proof cache hit across window lengths,
-worker counts and runs.
+methodology against its in-context (``engine=None``) path and on the
+closure step against in-place queries of its checks, one at a time.  A
+saturating obligation's found set must be exactly the targets such
+per-target queries find satisfiable.  A second family of tests pins
+down the history-independence guarantee: the fingerprint of a sliced
+frame obligation must not move when unrelated frames, registers or
+commitments grow the shared context, which is what makes the proof
+cache hit across window lengths, worker counts and runs.
 
 The slicer and the model completion read the clause log's gate rows.
 ``reference_slice_cnf`` and ``reference_complete_model`` are the
@@ -23,6 +25,7 @@ reference's clause list) and the same completed model.
 screws); the ``slow`` marker gates an extra high-volume pass.
 """
 
+import json
 import os
 import random
 from array import array
@@ -32,10 +35,13 @@ from itertools import compress
 import pytest
 
 from repro.core import UpecChecker, UpecMethodology, UpecModel, UpecScenario
-from repro.engine import ProofEngine, ResultCache, decode_cnf, \
-    encode_cnf, solve_obligation
+from repro.dist.protocol import obligation_from_wire, obligation_to_wire
+from repro.dist.scheduler import Scheduler
+from repro.engine import ProofEngine, ProofObligation, ResultCache, \
+    Verdict, decode_cnf, encode_cnf, solve_obligation
 from repro.engine import slice as slice_module
 from repro.engine.slice import SliceResult, slice_cnf
+from repro.formal.aig import FALSE, TRUE
 from repro.formal.bmc import SatContext
 from repro.soc import SocConfig, build_soc
 from repro.soc.config import FORMAL_CONFIG_KWARGS
@@ -384,6 +390,140 @@ def test_random_frame_cutoff_matches_rebuilt_reference():
 
 
 # ----------------------------------------------------------------------
+# Saturating obligations: the loop against per-target queries
+# ----------------------------------------------------------------------
+def random_saturation_case(rng):
+    """A random miter context, its assumptions (the miter, some of the
+    time) and a random target list that can hold the constants and
+    duplicates."""
+    ctx, miter = random_miter_context(rng)
+    aig = ctx.aig
+    inputs = [2 * node for node in range(1, len(aig))
+              if aig.is_input(2 * node)]
+    assumptions = [miter] if rng.random() < 0.7 else []
+    targets = [random_expr(rng, aig, inputs, rng.randint(0, 3))
+               for _ in range(rng.randint(1, 6))]
+    targets.append(TRUE)
+    if rng.random() < 0.3:
+        targets.append(FALSE)
+    targets += rng.sample(targets, rng.randint(0, 2))
+    rng.shuffle(targets)
+    return ctx, assumptions, targets
+
+
+def assert_saturation_matches_queries(ctx, obligation, verdict,
+                                      assumptions, targets):
+    """The loop's found set against in-place queries of the full recorded
+    formula, one per target; and each query's completed model satisfies
+    every recorded clause and the assumptions, and makes true exactly
+    the targets it is credited with plus ones found before."""
+    reference = {i for i, target in enumerate(targets)
+                 if ctx.solve(assumptions=assumptions + [target])}
+    found = [i for indices in verdict.found for i in indices]
+    assert len(found) == len(set(found))
+    assert len(verdict.models) == len(verdict.found)
+    if verdict.status in ("sat", "unsat"):
+        assert set(found) == reference
+        assert verdict.sat == bool(found)
+    else:
+        assert verdict.status == "unknown"
+        assert set(found) <= reference
+    dimacs_assumptions = [ctx.mapper.assumption(lit) for lit in assumptions]
+    dimacs_targets = [ctx.mapper.assumption(lit) for lit in targets]
+    earlier = set()
+    for query, indices in enumerate(verdict.found):
+        model = ctx.complete_model(obligation, verdict.model_list(query))
+
+        def holds(lit):
+            return model[lit] if lit > 0 else not model[-lit]
+
+        for clause, _ in ctx.solver.expand():
+            assert any(holds(lit) for lit in clause), \
+                f"query {query}'s model violates recorded clause {clause}"
+        assert all(holds(lit) for lit in dimacs_assumptions)
+        true = {i for i, lit in enumerate(dimacs_targets) if holds(lit)}
+        assert set(indices) == true - earlier
+        earlier |= true
+
+
+def assert_saturation_round_trips(obligation, verdict, cache):
+    """Targets, found sets and models survive the wire, the verdict's
+    dict form, a cache store and lookup and the broker memo; an
+    undecided verdict is neither cached nor memoized."""
+    wire = json.loads(json.dumps(obligation_to_wire(obligation)))
+    back = obligation_from_wire(wire)
+    assert back.targets == obligation.targets
+    assert back.fingerprint() == obligation.fingerprint()
+    again = solve_obligation(back)
+    assert (again.status, again.found, again.models) == \
+        (verdict.status, verdict.found, verdict.models)
+    # The targets are part of the question, and so of the cache key.
+    assert replace(obligation, targets=[]).fingerprint() != \
+        obligation.fingerprint()
+    data = Verdict.from_dict(json.loads(json.dumps(verdict.to_dict())))
+    assert (data.status, data.found, data.models) == \
+        (verdict.status, verdict.found, verdict.models)
+    cache.store(obligation, verdict)
+    hit = cache.lookup(obligation)
+    scheduler = Scheduler()
+    scheduler.complete("w", {"batch_id": "b", "seq": 0,
+                             "verdict": verdict.to_dict()})
+    memo = scheduler.memo.get(verdict.fingerprint)
+    if verdict.status in ("sat", "unsat"):
+        assert (hit.status, hit.found, hit.models) == \
+            (verdict.status, verdict.found, verdict.models)
+        assert Verdict.from_dict(memo).found == verdict.found
+    else:
+        assert hit is None and memo is None
+
+
+def test_saturation_matches_per_target_queries(tmp_path):
+    """Seeded differential of the saturating loop on random miters, under
+    random conflict limits: a definite verdict finds exactly the targets
+    that per-target in-place queries find satisfiable, a stopped one a
+    subset, and every model is a real execution that makes its targets
+    true."""
+    rng = random.Random(4242)
+    seen = {"sat": 0, "unsat": 0, "unknown": 0}
+    multi_query = 0
+    for case in range(100 * FUZZ_SCALE):
+        ctx, assumptions, targets = random_saturation_case(rng)
+        obligation = ctx.export_obligation(
+            "saturate", assumptions=assumptions, targets=targets,
+            conflict_limit=rng.choice([None, None, 1, 2, 3, 10]))
+        assert len(obligation.targets) == len(targets)
+        verdict = solve_obligation(obligation)
+        seen[verdict.status] += 1
+        multi_query += len(verdict.found) > 1
+        assert_saturation_matches_queries(ctx, obligation, verdict,
+                                          assumptions, targets)
+        assert_saturation_round_trips(
+            obligation, verdict, ResultCache(str(tmp_path / str(case))))
+    # The corpus reaches every outcome, and loops of several queries.
+    assert min(seen.values()) > 0 and multi_query > 0, (seen, multi_query)
+
+
+def test_saturation_stops_on_cancel_and_deadline():
+    """A cancel and a wall-clock budget bound the loop as a whole, also
+    between queries too short to poll them: the verdict is undecided and
+    keeps what the finished queries found."""
+    # Two targets that no model makes true together: one query each.
+    obligation = ProofObligation(
+        name="two", nvars=2, cnf=encode_cnf([[-1, -2]]), assumptions=[],
+        targets=[1, 2])
+    full = solve_obligation(obligation)
+    assert full.sat and sorted(full.found) == [[0], [1]]
+    polls = iter([False])
+    stopped = solve_obligation(obligation,
+                               cancel_check=lambda: next(polls, True))
+    assert stopped.status == "unknown"
+    assert (stopped.found, stopped.models) == \
+        (full.found[:1], full.models[:1])
+    timed_out = solve_obligation(replace(obligation, wall_budget=1e-9))
+    assert timed_out.status == "timeout" and timed_out.found == []
+
+
+# ----------------------------------------------------------------------
 # End-to-end: engine (sliced obligations) vs. the in-context solver
 # ----------------------------------------------------------------------
 def _alert_sig(alert):
@@ -443,9 +583,9 @@ def test_tab1_frame_obligations_match_reference_slicer(monkeypatch):
 
 
 def test_closure_slice_differential():
-    """Per-register closure obligations: the holds/fails pattern is
-    formula-determined, so the sliced engine run must match the
-    in-context solve."""
+    """The closure step's sliced saturating obligation must refute
+    exactly the checks that in-place queries of the full recorded
+    formula, one per check, refute."""
     from repro.core import InductiveDiffProof
     from repro.core.closure import CondEq
 
@@ -454,19 +594,24 @@ def test_closure_slice_differential():
         CondEq(soc.resp_buf, cond=None),
         CondEq(soc.secret_cache_data_reg, cond=None),
     ]
-    inline = InductiveDiffProof(soc, SCENARIO, invariant, engine=None) \
-        .check_step(conflict_limit=200_000)
-    with ProofEngine(jobs=1) as engine:
-        sliced = InductiveDiffProof(soc, SCENARIO, invariant,
-                                    engine=engine) \
-            .check_step(conflict_limit=200_000)
-    assert [(ob.name, ob.holds) for ob in sliced.obligations] == \
-        [(ob.name, ob.holds) for ob in inline.obligations]
-    assert sliced.holds == inline.holds
-    assert sliced.stats["obligations_exported"] > 0
+    proof = InductiveDiffProof(soc, SCENARIO, invariant)
+    sliced = proof.check_step(conflict_limit=200_000)
+    model, checks = proof.step_checks()
+    reference = [
+        (name, target == 0 or model.context.solve(
+            assumptions=[target], conflict_limit=200_000) is False)
+        for name, target in checks
+    ]
+    assert [(ob.name, ob.holds) for ob in sliced.obligations] == reference
+    assert not sliced.holds
+    assert sliced.stats["obligations_exported"] == 1
+    assert sliced.stats["slice_clauses_out"] <= \
+        sliced.stats["slice_clauses_in"]
 
 
 def test_bmc_slice_differential():
+    """Sliced BMC frame obligations reach the counter's known first
+    failing frame, with or without a caller's engine."""
     from repro.formal import BmcEngine
     from repro.hdl import Circuit
 
@@ -475,14 +620,16 @@ def test_bmc_slice_differential():
         cnt = c.reg("cnt", 8, init=0)
         c.next(cnt, cnt + 1)
         c.finalize()
-        return BmcEngine(c, init="reset", engine=engine) \
-            .check_always(cnt.ne(5), k=8)
+        return BmcEngine(c, init="symbolic", engine=engine) \
+            .check_always(cnt.ne(5), k=8,
+                          initial_assumptions=[cnt.eq(0)])
 
     with ProofEngine(jobs=1) as engine:
         sliced = check(engine)
     for result in (check(None), sliced):
         assert not result.holds and result.depth == 5
         assert result.witness.value("cnt", 5) == 5
+        assert result.stats["obligations_exported"] == 9
 
 
 # ----------------------------------------------------------------------
