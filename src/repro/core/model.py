@@ -7,7 +7,10 @@ proofs, the allowed-difference set) receive independent variables.
 Structural hashing then automatically collapses all logic outside the
 secret's cone of influence — this realizes the complexity mitigation of
 Sec. V-B at the bit level, and the black-boxing of cache data fields
-corresponds to excluding them from the proof's commitment.
+corresponds to excluding them from the proof's commitment.  The second
+instance is unrolled with the first as its twin, so it bit-blasts only
+the logic the difference reaches, and the miter reads a register whose
+two bit lists are identical once: such a pair cannot differ in any model.
 
 Assumptions (Fig. 4):
 
@@ -24,13 +27,14 @@ Assumptions (Fig. 4):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import UpecError
 from repro.formal.aig import Aig
 from repro.formal.bmc import SatContext
 from repro.formal.unroll import Unroller
-from repro.hdl.expr import Expr, Reg
+from repro.hdl.analysis import iter_nodes
+from repro.hdl.expr import Expr, Input, Reg
 from repro.soc.soc import Soc
 
 
@@ -73,13 +77,24 @@ class UpecScenario:
 
 
 class UpecModel:
-    """Two unrolled SoC instances over a shared SAT context."""
+    """Two unrolled SoC instances over a shared SAT context.
+
+    Instance 2 (``u2``) is unrolled with instance 1 (``u1``) as its
+    twin: at each frame it reuses instance 1's bit-blast of every
+    expression whose leaves carry the same literals in both, which is
+    all logic outside the difference's cone of influence.  That logic
+    is already in the AIG, so the AIG, the CNF and every literal are
+    the same as if instance 2 blasted it again (see
+    :class:`~repro.formal.unroll.Unroller`).  ``cond_eq`` maps each
+    register that may differ at t to its blocking condition (``None``:
+    unconditional); every register and condition must belong to
+    ``soc``'s circuit.
+    """
 
     def __init__(
         self,
         soc: Soc,
         scenario: UpecScenario,
-        extra_diff_regs: Iterable[Reg] = (),
         cond_eq: Optional[Dict[Reg, Optional[Expr]]] = None,
     ) -> None:
         self.soc = soc
@@ -90,11 +105,8 @@ class UpecModel:
         diff_seed = {soc.secret_mem_reg}
         if scenario.secret_in_cache:
             diff_seed.add(soc.secret_cache_data_reg)
-        diff_seed.update(extra_diff_regs)
         diff_seed.update(self.cond_eq)
-        for reg in diff_seed:
-            if reg.name not in soc.circuit.regs:
-                raise UpecError(f"diff reg {reg.name!r} not in the SoC")
+        self._check_owned()
         self.diff_seed = diff_seed
 
         aig = self.context.aig
@@ -111,9 +123,30 @@ class UpecModel:
             if reg not in diff_seed
         }
         self.u2 = Unroller(soc.circuit, aig, init="symbolic",
-                           init_bits=shared_bits)
+                           init_bits=shared_bits, twin=self.u1)
         self._frames_assumed = -1
         self._apply_initial_assumptions()
+
+    def _check_owned(self) -> None:
+        """Reject, in ``cond_eq``'s order, a register, or a register or
+        input read by its blocking condition, that is not the SoC
+        circuit's own: the instances share every register outside the
+        seed by identity, so a foreign one would silently drop out of
+        the difference.  The seed's secret registers are the SoC's."""
+        circuit = self.soc.circuit
+        for reg, cond in self.cond_eq.items():
+            if circuit.regs.get(reg.name) is not reg:
+                raise UpecError(f"diff reg {reg.name!r} not in the SoC")
+            if cond is None:
+                continue
+            for node in iter_nodes([cond]):
+                owned = (circuit.regs if isinstance(node, Reg)
+                         else circuit.inputs if isinstance(node, Input)
+                         else None)
+                if owned is not None and owned.get(node.name) is not node:
+                    raise UpecError(
+                        f"condition of {reg.name!r} reads {node.name!r}, "
+                        "which is not in the SoC")
 
     # ------------------------------------------------------------------
     # Assumptions
@@ -207,6 +240,9 @@ class UpecModel:
         aig = self.context.aig
         bits1 = self.u1.reg_bits(reg, frame)
         bits2 = self.u2.reg_bits(reg, frame)
+        if bits1 == bits2:
+            # What the XOR chain folds to, without walking it.
+            return 0
         diff = aig.or_all(aig.xor_(a, b) for a, b in zip(bits1, bits2))
         if diff not in (0, 1):
             # The register pair is witness state: keep its bits out of
@@ -267,18 +303,28 @@ class UpecModel:
     # Witness extraction
     # ------------------------------------------------------------------
     def pair_values(self, reg: Reg, frame: int) -> Tuple[int, int]:
-        """Model values of a register pair (after a SAT result)."""
-        v1 = self.context.word_value(self.u1.reg_bits(reg, frame))
-        v2 = self.context.word_value(self.u2.reg_bits(reg, frame))
-        return v1, v2
+        """Model values of a register pair (after a SAT result); a pair
+        with identical bits is read once."""
+        bits1 = self.u1.reg_bits(reg, frame)
+        bits2 = self.u2.reg_bits(reg, frame)
+        v1 = self.context.word_value(bits1)
+        if bits1 == bits2:
+            return v1, v1
+        return v1, self.context.word_value(bits2)
 
     def differing_regs(
         self, frame: int, regs: Optional[Sequence[Reg]] = None
     ) -> List[Tuple[Reg, int, int]]:
-        """Registers whose two instances differ in the current model."""
+        """Registers whose two instances differ in the current model.
+        A pair with identical bits cannot differ and is not read."""
+        word_value = self.context.word_value
         result = []
         for reg in regs if regs is not None else self.soc.circuit.regs.values():
-            v1, v2 = self.pair_values(reg, frame)
+            bits1 = self.u1.reg_bits(reg, frame)
+            bits2 = self.u2.reg_bits(reg, frame)
+            if bits1 == bits2:
+                continue
+            v1, v2 = word_value(bits1), word_value(bits2)
             if v1 != v2:
                 result.append((reg, v1, v2))
         return result

@@ -8,7 +8,7 @@ whose literal vectors are supplied by the environment (the unroller).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FormalError
 from repro.formal.aig import Aig
@@ -102,7 +102,10 @@ class BitBlaster:
 
     ``leaf_bits`` supplies literal vectors for registers and inputs; the
     memo dictionary is owned by the caller so that one blaster instance can
-    serve a whole unrolled frame.
+    serve a whole unrolled frame.  ``twin`` is the memo of another
+    blaster over the same AIG and expressions (the miter's first
+    instance at the same frame), whose entries :meth:`blast` reuses
+    where they cannot differ.
     """
 
     def __init__(
@@ -110,6 +113,7 @@ class BitBlaster:
         aig: Aig,
         leaf_bits: Callable[[Expr], Bits],
         memo: Dict[int, "Tuple[Expr, Bits]"],
+        twin: Optional[Dict[int, "Tuple[Expr, Bits]"]] = None,
     ) -> None:
         self.aig = aig
         self.leaf_bits = leaf_bits
@@ -117,6 +121,7 @@ class BitBlaster:
         # with its bits: keeping a strong reference prevents id() reuse
         # after garbage collection from aliasing distinct expressions.
         self.memo = memo
+        self.twin = twin
 
     def blast(self, expr: Expr) -> Bits:
         """Return the literal vector of ``expr`` (memoized).
@@ -126,17 +131,34 @@ class BitBlaster:
         therefore stops at memoized expressions and still blasts the rest
         in the order of :func:`~repro.hdl.analysis.topo_order` over the
         whole cone: the same AIG nodes, in the same order.
+
+        With a ``twin`` memo, a node the twin has blasted takes the
+        twin's memo entry, the same tuple, instead of being blasted
+        again, when its leaves carry the twin's literals: a constant
+        always, a register when its bits equal the twin's, an input
+        never, and an operator when every argument took the twin's
+        entry.  Blasting depends only on the leaf literals and
+        :meth:`Aig.and_` only hash-conses, so blasting such a node again
+        would create no AIG node and return the twin's bits: the AIG and
+        every result stay exactly what they are without the twin.
         """
         memo = self.memo
         cached = memo.get(id(expr))
         if cached is not None:
             return cached[1]
+        twin = self.twin
         seen: Set[int] = set()
         stack: List[Tuple[Expr, bool]] = [(expr, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                memo[id(node)] = (node, self._blast_node(node))
+                key = id(node)
+                if twin is not None:
+                    entry = twin.get(key)
+                    if entry is not None and self._shares(node, entry):
+                        memo[key] = entry
+                        continue
+                memo[key] = (node, self._blast_node(node))
                 continue
             if id(node) in seen:
                 continue
@@ -149,6 +171,24 @@ class BitBlaster:
                     if id(arg) not in seen and id(arg) not in memo:
                         stack.append((arg, False))
         return memo[id(expr)][1]
+
+    def _shares(self, node: Expr, entry: "Tuple[Expr, Bits]") -> bool:
+        """Whether ``node``, which the twin blasted to ``entry``, blasts
+        to the same literals here (its arguments are already memoized)."""
+        op = node.op
+        if op == OP_CONST:
+            return True
+        if op == OP_REG:
+            return self.leaf_bits(node) == entry[1]
+        if op == OP_INPUT:
+            return False
+        memo = self.memo
+        twin = self.twin
+        for arg in node.args:
+            # The twin memoized every argument before the node itself.
+            if memo[id(arg)] is not twin[id(arg)]:
+                return False
+        return True
 
     def _blast_node(self, node: Expr) -> Bits:
         aig = self.aig

@@ -8,13 +8,14 @@ values at frame 0 come from an :class:`InitialState` policy:
 * explicit literal vectors — used by the UPEC miter to share variables
   between the two SoC instances (equal initial microarchitectural state).
 
-Inputs get fresh variables per frame unless an ``input_provider`` shares
-them (the UPEC model drives both instances with identical inputs).
+Inputs get fresh variables per frame and per unroller.  The UPEC miter
+builds its second instance with the first as its ``twin``, so that it
+bit-blasts only the logic that the instances' difference reaches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import FormalError
 from repro.formal.aig import Aig
@@ -22,23 +23,22 @@ from repro.formal.bitblast import BitBlaster, Bits, const_bits
 from repro.hdl.circuit import Circuit
 from repro.hdl.expr import Expr, Input, Reg
 
-InputProvider = Callable[[str, int, int], Bits]  # (name, width, frame) -> bits
-
-
-def _input_bits(aig: Aig, input_provider: Optional[InputProvider],
-                node: Input, frame: int) -> Bits:
-    """The literals of an input at a frame: the provider's, or fresh
-    AIG inputs."""
-    if input_provider is not None:
-        bits = input_provider(node.name, node.width, frame)
-        if len(bits) != node.width:
-            raise FormalError(f"input provider width mismatch for {node.name!r}")
-        return bits
-    return aig.new_inputs(node.width)
-
 
 class Unroller:
-    """Unroll one circuit instance over time."""
+    """Unroll one circuit instance over time.
+
+    ``twin`` is another unroller of the same circuit over the same AIG
+    (the UPEC miter's first instance).  Each frame of this unroller
+    that the twin has already built reuses the twin's bit-blast of
+    every expression whose leaves carry the same literals in both at
+    that frame (see :meth:`BitBlaster.blast`): a register whose bits
+    equal the twin's, or a constant, but never an input, which is fresh
+    in each unroller.  That logic is already in the AIG, hash-consed,
+    so blasting it again would add no node and return the same
+    literals; the AIG and every literal this unroller returns are the
+    same with or without the twin, and only the time to build them
+    differs.  A frame built before the twin's is blasted in full.
+    """
 
     def __init__(
         self,
@@ -46,19 +46,23 @@ class Unroller:
         aig: Aig,
         init: str = "symbolic",
         init_bits: Optional[Dict[Reg, Bits]] = None,
-        input_provider: Optional[InputProvider] = None,
+        twin: Optional["Unroller"] = None,
     ) -> None:
         if not circuit.finalized:
             circuit.finalize()
         if init not in ("symbolic", "reset"):
             raise FormalError(f"unknown init policy {init!r}")
+        if twin is not None and (twin.circuit is not circuit
+                                 or twin.aig is not aig):
+            raise FormalError("a twin must unroll the same circuit over "
+                              "the same AIG")
         self.circuit = circuit
         self.aig = aig
         self.init = init
         self.init_bits = dict(init_bits or {})
-        self.input_provider = input_provider
+        self.twin = twin
         self._reg_bits: List[Dict[Reg, Bits]] = []
-        self._memos: List[Dict[int, Bits]] = []
+        self._memos: List[Dict[int, tuple]] = []
         self._blasters: List[BitBlaster] = []
         self._build_frame0()
 
@@ -88,9 +92,9 @@ class Unroller:
         # The leaf reader is kept by the frame's BitBlaster, which the
         # unroller keeps: it must not reach back to the unroller, or the
         # whole model (AIG included) would be a reference cycle that
-        # only a full collection frees.
+        # only a full collection frees.  The twin's memo is no cycle:
+        # the twin never refers to this unroller.
         aig = self.aig
-        input_provider = self.input_provider
 
         def leaf(node: Expr) -> Bits:
             if isinstance(node, Reg):
@@ -98,13 +102,15 @@ class Unroller:
             if isinstance(node, Input):
                 key = id(node)
                 if key not in memo:
-                    memo[key] = (node, _input_bits(aig, input_provider,
-                                                   node, frame))
+                    memo[key] = (node, aig.new_inputs(node.width))
                 return memo[key][1]
             raise FormalError(f"unexpected leaf {node!r}")  # pragma: no cover
 
+        twin = self.twin
+        twin_memo = (twin._memos[frame]
+                     if twin is not None and frame < twin.depth else None)
         self._memos.append(memo)
-        self._blasters.append(BitBlaster(self.aig, leaf, memo))
+        self._blasters.append(BitBlaster(self.aig, leaf, memo, twin_memo))
 
     # ------------------------------------------------------------------
     @property

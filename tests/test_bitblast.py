@@ -2,11 +2,13 @@
 
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.model import UpecModel
 from repro.errors import FormalError
 from repro.formal.aig import Aig
 from repro.formal.bitblast import (
@@ -19,6 +21,8 @@ from repro.formal.bitblast import (
     subtractor,
     unsigned_less_than,
 )
+from repro.formal.bmc import SatContext
+from repro.formal.unroll import Unroller
 from repro.hdl import Circuit, cat, const, mux, select, sext, zext
 from repro.hdl.analysis import topo_order
 from repro.hdl.expr import Input, Reg
@@ -223,11 +227,14 @@ class TopoOrderBlaster(BitBlaster):
         return self.memo[id(expr)][1]
 
 
-def random_expr_pool(rng, size):
+def random_expr_pool(rng, size, leaves=None):
     """A seeded random 4-bit expression DAG over inputs, registers and a
-    constant, every new node reusing earlier ones."""
-    pool = [Input(f"i{n}", 4) for n in range(3)]
-    pool += [Reg(f"r{n}", 4) for n in range(2)]
+    constant, every new node reusing earlier ones.  ``leaves`` replaces
+    the fresh inputs and registers (4 bits wide each)."""
+    if leaves is None:
+        leaves = [Input(f"i{n}", 4) for n in range(3)]
+        leaves += [Reg(f"r{n}", 4) for n in range(2)]
+    pool = list(leaves)
     pool.append(const(rng.randrange(16), 4))
     for _ in range(size):
         a, b, c = (rng.choice(pool) for _ in range(3))
@@ -279,3 +286,167 @@ def test_blast_matches_topo_order_walk():
                  for _ in range(rng.randrange(1, 12))]
         assert blast_sequence(BitBlaster, pool, roots) == \
             blast_sequence(TopoOrderBlaster, pool, roots), seed
+
+
+# ----------------------------------------------------------------------
+# Differential: the miter's second instance with its twin against one
+# blasted in full
+# ----------------------------------------------------------------------
+class BareMiter(UpecModel):
+    """:class:`UpecModel`'s witness reads over any circuit's two
+    unrollers and context, without a SoC or scenario."""
+
+    def __init__(self, circuit, context, u1, u2):
+        self.soc = SimpleNamespace(circuit=circuit)
+        self.context, self.u1, self.u2 = context, u1, u2
+
+
+def random_miter_spec(rng):
+    """A random circuit of 4-bit registers and inputs whose next-state
+    logic mixes them with constants, and a random miter over it: the
+    difference seed, instance 1's constant initial values, and instance
+    2's for seed registers (equal to instance 1's or not)."""
+    circuit = Circuit("twin")
+    regs = [circuit.reg(f"r{n}", 4, init=None)
+            for n in range(rng.randint(2, 6))]
+    leaves = regs + [circuit.input(f"i{n}", 4)
+                     for n in range(rng.choice((0, 0, 1, 2)))]
+    pool = random_expr_pool(rng, rng.randrange(5, 40), leaves)
+    for reg in regs:
+        circuit.next(reg, rng.choice(pool))
+    circuit.finalize()
+    seed = [reg for reg in regs if rng.random() < 0.4]
+    const1 = {reg: rng.randrange(16) for reg in regs if rng.random() < 0.3}
+    const2 = {reg: rng.choice((const1.get(reg, 0), rng.randrange(16)))
+              for reg in seed if rng.random() < 0.5}
+    return circuit, pool, seed, const1, const2
+
+
+def build_miter(spec, twin):
+    """Both instances over one context, as :class:`UpecModel` builds
+    them: instance 2 shares instance 1's initial bits outside the seed;
+    with ``twin`` it is unrolled with instance 1 as its twin."""
+    circuit, _, seed, const1, const2 = spec
+    context = SatContext()
+    aig = context.aig
+    u1 = Unroller(circuit, aig, init_bits={
+        reg: const_bits(aig, value, 4) for reg, value in const1.items()})
+    init2 = {reg: u1.reg_bits(reg, 0)
+             for reg in circuit.regs.values() if reg not in seed}
+    init2.update({reg: const_bits(aig, value, 4)
+                  for reg, value in const2.items()})
+    u2 = Unroller(circuit, aig, init_bits=init2,
+                  twin=u1 if twin else None)
+    return context, u1, u2
+
+
+def random_calls(rng, spec):
+    """A random sequence of instance-1 and instance-2 calls; instance 2
+    often reaches a frame first."""
+    circuit, pool, _, _, _ = spec
+    regs = list(circuit.regs.values())
+    bits1 = [n for n, expr in enumerate(pool) if expr.width == 1]
+    calls = []
+    for _ in range(rng.randrange(1, 25)):
+        instance, frame = rng.randrange(2), rng.randrange(4)
+        kind = rng.choice(("extend", "reg", "expr", "expr", "assert"))
+        if kind == "assert" and not bits1:
+            kind = "expr"
+        item = (rng.choice(regs) if kind == "reg"
+                else rng.choice(bits1) if kind == "assert"
+                else rng.randrange(len(pool)))
+        calls.append((instance, kind, frame, item))
+    return calls
+
+
+def replay(spec, calls, twin):
+    """Run ``calls``, then read every register and blast every pool
+    expression at every frame in both instances; return the miter and
+    what every call and read returned."""
+    context, u1, u2 = build_miter(spec, twin)
+    circuit, pool = spec[0], spec[1]
+    out = []
+    for instance, kind, frame, item in calls:
+        unroller = (u1, u2)[instance]
+        if kind == "extend":
+            unroller.extend_to(frame)
+        elif kind == "reg":
+            out.append(unroller.reg_bits(item, frame))
+        elif kind == "expr":
+            out.append(unroller.expr_bits(pool[item], frame))
+        else:
+            lit = unroller.expr_lit(pool[item], frame)
+            context.assert_lit(lit, frame=frame)
+            out.append(lit)
+    for frame in range(4):
+        for unroller in (u1, u2):
+            out.append([unroller.reg_bits(reg, frame)
+                        for reg in circuit.regs.values()])
+            out.append([unroller.expr_bits(expr, frame) for expr in pool])
+    return context, u1, u2, out
+
+
+def shared_entries(u1, u2):
+    """How many of instance 2's memo entries are instance 1's."""
+    return sum(entry is u1._memos[frame].get(key)
+               for frame in range(u2.depth)
+               for key, entry in u2._memos[frame].items())
+
+
+def test_twin_matches_instance_blasted_in_full():
+    """Instance 2 unrolled with its twin builds exactly the AIG, and
+    returns exactly the literals, of instance 2 blasted in full, under
+    any order of calls (instance 2 first falls back to blasting).  Under
+    a random adopted model, ``differing_regs`` and ``witness_frames``,
+    which skip and read once the pairs with identical bits, equal a
+    read of both instances in full, and ``pair_diff_lit`` equals the
+    XOR chain it skips on identical bits."""
+    shared = fallbacks = 0
+    for seed in range(60 * FUZZ_SCALE):
+        rng = random.Random(seed)
+        spec = random_miter_spec(rng)
+        calls = random_calls(rng, spec)
+        ctx, u1, u2, out = replay(spec, calls, twin=True)
+        ref_ctx, ref_u1, ref_u2, ref_out = replay(spec, calls, twin=False)
+        assert out == ref_out, seed
+        nodes = [ctx.aig.fanins(2 * n) for n in range(len(ctx.aig))]
+        assert nodes == \
+            [ref_ctx.aig.fanins(2 * n) for n in range(len(ref_ctx.aig))], seed
+        shared += shared_entries(u1, u2)
+        fallbacks += sum(blaster.twin is None for blaster in u2._blasters)
+
+        circuit = spec[0]
+        regs = list(circuit.regs.values())
+        for lit in rng.sample(range(2, 2 * len(ctx.aig)),
+                              min(8, 2 * len(ctx.aig) - 2)):
+            ctx.mapper.lit_to_solver(lit)
+            ref_ctx.mapper.lit_to_solver(lit)
+        model = [rng.random() < 0.5 for _ in range(ctx.solver.nvars + 1)]
+        ctx.adopt_model(model)
+        ref_ctx.adopt_model(model)
+        miter = BareMiter(circuit, ctx, u1, u2)
+
+        def read(reg, frame):
+            return (ref_ctx.word_value(ref_u1.reg_bits(reg, frame)),
+                    ref_ctx.word_value(ref_u2.reg_bits(reg, frame)))
+
+        for frame in range(4):
+            assert miter.differing_regs(frame) == [
+                (reg, *read(reg, frame)) for reg in regs
+                if read(reg, frame)[0] != read(reg, frame)[1]], seed
+        assert miter.witness_frames(3) == [
+            {reg.name: read(reg, frame) for reg in regs}
+            for frame in range(4)], seed
+
+        ref_aig = ref_ctx.aig
+        for frame in range(4):
+            for reg in regs:
+                chain = ref_aig.or_all(
+                    ref_aig.xor_(a, b) for a, b in
+                    zip(ref_u1.reg_bits(reg, frame),
+                        ref_u2.reg_bits(reg, frame)))
+                assert miter.pair_diff_lit(reg, frame) == chain, seed
+        assert [ctx.aig.fanins(2 * n) for n in range(len(ctx.aig))] == \
+            [ref_aig.fanins(2 * n) for n in range(len(ref_aig))], seed
+    # The twin was used, and instance 2 also reached frames first.
+    assert shared and fallbacks

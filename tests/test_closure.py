@@ -77,6 +77,16 @@ def test_wrong_invariant_is_rejected_with_counterexample():
     assert "NOT inductive" in result.describe()
 
 
+def test_invariant_from_another_build_is_rejected():
+    """An invariant over a second build of the same design names the
+    same registers, but none of them is the SoC's own: the step raises
+    instead of checking a model in which they do not differ."""
+    other = build_soc(SocConfig.secure(**FORMAL_CONFIG_KWARGS))
+    proof = InductiveDiffProof(SOC, SCENARIO, unconditional_invariant(other))
+    with pytest.raises(UpecError, match="resp_buf"):
+        proof.check_step()
+
+
 def test_conflict_limited_step_keeps_what_it_found(tmp_path):
     """A conflict limit stops the saturating loop as a whole.  The checks
     it found fail with their counterexamples, the live checks it did not

@@ -60,29 +60,14 @@ def test_unroller_expr_lit_width_check():
         unroller.expr_lit(c.regs["cnt"] + 1, 0)
 
 
-def test_unroller_input_sharing():
-    """Two unrollers with a shared input provider see the same variables."""
-    c = Circuit("t")
-    x = c.input("x", 4)
-    r = c.reg("r", 4, init=0)
-    c.next(r, x)
-    c.finalize()
+def test_unroller_twin_must_share_circuit_and_aig():
+    c = build_counter()
     aig = Aig()
-    pool = {}
-
-    def provider(name, width, frame):
-        key = (name, frame)
-        if key not in pool:
-            pool[key] = aig.new_inputs(width)
-        return pool[key]
-
-    u1 = Unroller(c, aig, input_provider=provider)
-    u2 = Unroller(c, aig, input_provider=provider)
-    assert u1.expr_bits(x, 0) == u2.expr_bits(x, 0)
-    # Next state cones collapse structurally when inputs are shared,
-    # but frame-0 registers differ (fresh symbolic states).
-    assert u1.reg_bits(c.regs["r"], 1) == u2.reg_bits(c.regs["r"], 1)
-    assert u1.reg_bits(c.regs["r"], 0) != u2.reg_bits(c.regs["r"], 0)
+    u1 = Unroller(c, aig)
+    with pytest.raises(FormalError):
+        Unroller(c, Aig(), twin=u1)
+    with pytest.raises(FormalError):
+        Unroller(build_counter(), aig, twin=u1)
 
 
 def test_bmc_counter_bound_holds_and_fails():

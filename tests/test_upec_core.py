@@ -88,6 +88,29 @@ def test_default_commitment_excludes_memory_and_blackboxed_data():
     assert any(n.startswith("dc_data[") for n in names2)
 
 
+#: A second build of the same design: equal names, other objects.
+SOC_SECURE_B = build_soc(CFG_SECURE)
+
+
+@pytest.mark.parametrize("cond_eq", [
+    pytest.param(lambda: {SOC_SECURE_B.resp_buf: None},
+                 id="foreign-unconditional-entry"),
+    pytest.param(lambda: {SOC_SECURE_B.resp_buf: ~SOC_SECURE.memwb["valid"]},
+                 id="foreign-conditional-entry"),
+    pytest.param(lambda: {SOC_SECURE.resp_buf: ~SOC_SECURE_B.memwb["valid"]},
+                 id="condition-over-foreign-register"),
+])
+def test_model_rejects_foreign_registers(cond_eq):
+    """The instances share every register outside the difference seed
+    by identity, so a seed register or condition from another build of
+    the design is rejected by name instead of dropping out of the
+    difference or failing on a missing key."""
+    with pytest.raises(UpecError, match="'(resp_buf|memwb_valid)'.*not in "
+                                        "the SoC"):
+        UpecModel(SOC_SECURE, UpecScenario(secret_in_cache=True),
+                  cond_eq=cond_eq())
+
+
 def test_model_rejects_program_too_large():
     with pytest.raises(UpecError):
         UpecModel(
